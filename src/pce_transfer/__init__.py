@@ -21,7 +21,6 @@ from .gaussian import (
     CalibrationTask,
     GaussianDist,
     fuse,
-    fuse_with_flat_prior,
     likelihood,
     likelihood_with_report,
     log_pdf,

@@ -8,7 +8,8 @@ outputs start with a single '# config {...}' comment line.  Result files
 never contain timestamps, so identical configurations produce byte-identical
 outputs.
 
-Exit codes: 0 success, 1 numeric or calibration failure, 2 usage/schema error.
+Exit codes: 0 success, 1 numeric or calibration failure (including a sweep
+shift in which every trial failed), 2 usage/schema error.
 """
 
 from __future__ import annotations
@@ -297,6 +298,7 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
     scenarios = build_scenarios(cfg)
     want_bands = bool(cfg.get("bands", cfg.get("scenario") == "cubic"))
     summary: dict = {"config": cfg, "sweeps": {}}
+    all_failed = []
     for tag, exp_cfg, shifts in scenarios:
         sweep_dir = out_dir / tag if tag else out_dir
         resolved = dict(cfg)
@@ -320,6 +322,8 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
             for d, recs in by_degree.items():
                 records_by_degree[d].extend(recs)
                 aggregates_by_degree[d].append(aggregate_records(shift, recs))
+                if not any(r.ok for r in recs):
+                    all_failed.append(f"sweep {tag or 'default'}, shift {shift}, degree {d}")
 
         sweep_summary: dict = {"degrees": {}}
         for d in exp_cfg.degrees:
@@ -342,7 +346,9 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
 
         summary["sweeps"][tag or "default"] = sweep_summary
     write_json(out_dir / "summary.json", summary)
-    return 0
+    for where in all_failed:
+        print(f"error: every trial failed in {where}", file=sys.stderr)
+    return 1 if all_failed else 0
 
 
 # ---------------------------------------------------------------------------

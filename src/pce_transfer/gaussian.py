@@ -119,9 +119,10 @@ def likelihood_with_report(task: CalibrationTask,
     """Gaussian likelihood over coefficients plus fit diagnostics.
 
     Mean solves the least-squares problem via QR of the design matrix;
-    covariance is noise_var * (A^T A)^{-1} assembled from the R factor.
-    Ill-conditioning raises CalibrationError naming the condition number of
-    A^T A unless an explicit ridge `jitter` is opted into.
+    covariance is noise_var * (A^T A)^{-1} assembled from the R factor, and
+    the condition number of A^T A comes from R's singular values.
+    Ill-conditioning raises CalibrationError naming that condition number
+    unless an explicit ridge `jitter` is opted into.
     """
     p = task.basis.n_terms
     if task.n_samples < p:
@@ -129,7 +130,9 @@ def likelihood_with_report(task: CalibrationTask,
             f"under-determined fit: {task.n_samples} samples for {p} coefficients"
         )
     A = vandermonde(task.basis, task.X)
-    singvals = np.linalg.svd(A, compute_uv=False)
+    Q, R = np.linalg.qr(A, mode="reduced")
+    # A = QR with orthonormal Q, so the p x p factor R has A's singular values.
+    singvals = np.linalg.svd(R, compute_uv=False)
     if singvals[-1] == 0.0:
         raise CalibrationError("design matrix is rank deficient")
     cond_normal = (singvals[0] / singvals[-1]) ** 2
@@ -145,7 +148,6 @@ def likelihood_with_report(task: CalibrationTask,
         mean = cho_solve((L, True), A.T @ task.Y)
         gram_inv = cho_solve((L, True), np.eye(p))
     else:
-        Q, R = np.linalg.qr(A, mode="reduced")
         mean = solve_triangular(R, Q.T @ task.Y)
         Rinv = solve_triangular(R, np.eye(p))
         gram_inv = Rinv @ Rinv.T
@@ -194,11 +196,6 @@ def fuse(prior: GaussianDist, lik: GaussianDist) -> GaussianDist:
     cov = 0.5 * (cov + cov.T)
     mean = cho_solve((L, True), prec_prior @ prior.mean + prec_lik @ lik.mean)
     return GaussianDist(mean=mean, cov=cov)
-
-
-def fuse_with_flat_prior(lik: GaussianDist) -> GaussianDist:
-    """Limit of fuse as the prior covariance grows unbounded: the likelihood."""
-    return lik
 
 
 def log_pdf(dist: GaussianDist, theta: np.ndarray) -> float:

@@ -123,11 +123,12 @@ class ExperimentConfig:
             raise ValueError("at least one surrogate degree is required")
         dim = self.model.dimension
         for d in self.degrees:
-            if self.n_target < n_pce(dim, d):
-                raise ValueError(
-                    f"n_target={self.n_target} is under-determined for degree {d} "
-                    f"({n_pce(dim, d)} coefficients)"
-                )
+            for name in ("n_source", "n_target"):
+                if getattr(self, name) < n_pce(dim, d):
+                    raise ValueError(
+                        f"{name}={getattr(self, name)} is under-determined for "
+                        f"degree {d} ({n_pce(dim, d)} coefficients)"
+                    )
 
     def with_shift(self, shift: float) -> "ExperimentConfig":
         """Resolve one sweep point: move the target box or the target task."""
@@ -282,7 +283,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
                 pred = pushforward(post, spec, data.X_val,
                                    noise_var=cfg.lpfp_noise_var)
                 scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)
-                scores[f"rmse_{tag}"] = rmse(post.mean, spec, data.X_val, data.y_val)
+                scores[f"rmse_{tag}"] = rmse(pred, data.y_val)
             records[degree] = TrialRecord(
                 trial=trial, shift=cfg.shift, beta_star=result.beta_star,
                 status="ok", **scores,

@@ -3,7 +3,9 @@
 A Gaussian coefficient posterior pushed through the (linear) basis map gives
 a Gaussian over outputs at any set of evaluation points: mean = A mu,
 covariance = A Sigma A^T, optionally inflated by an observation-noise
-variance on the diagonal.  Scores are the summed per-point marginal
+variance.  Every score here reads one point at a time, so a prediction keeps
+only the per-point marginal variances diag(A Sigma A^T), never the m x m
+covariance between points.  Scores are the summed per-point marginal
 log-densities of observed outputs and the plain RMSE of the mean surrogate.
 """
 
@@ -24,38 +26,34 @@ MARGINAL_VAR_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class PfpPrediction:
-    """Gaussian over outputs at a list of evaluation points."""
+    """Per-point Gaussian marginals of the outputs at a list of evaluation points."""
 
     points: np.ndarray
     mean: np.ndarray
-    cov: np.ndarray
+    marginal_var: np.ndarray
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
         mean = np.asarray(self.mean, dtype=float).ravel()
-        cov = np.asarray(self.cov, dtype=float)
+        var = np.asarray(self.marginal_var, dtype=float).ravel()
         m = points.shape[0]
-        if mean.shape[0] != m or cov.shape != (m, m):
-            raise ValueError("points, mean, and cov sizes disagree")
-        for arr in (points, mean, cov):
+        if mean.shape[0] != m or var.shape[0] != m:
+            raise ValueError("points, mean, and marginal_var sizes disagree")
+        for arr in (points, mean, var):
             arr.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def marginal_var(self) -> np.ndarray:
-        return np.diag(self.cov)
+        object.__setattr__(self, "marginal_var", var)
 
 
 def pushforward(posterior: GaussianDist, basis: BasisSpec, points,
                 noise_var: float = 0.0) -> PfpPrediction:
     """Push a coefficient posterior through the basis map at the given points.
 
-    noise_var > 0 adds observation noise to the predictive diagonal; the
-    default 0 scores the model alone.  The covariance is assembled as
-    (A L)(A L)^T from the posterior's Cholesky factor so its diagonal cannot
-    go negative by round-off.
+    noise_var > 0 adds observation noise to every marginal variance; the
+    default 0 scores the model alone.  The variances are the row sums of
+    (A L)**2 for the posterior's Cholesky factor L, which cost O(m p) and
+    cannot go negative by round-off.
     """
     if posterior.dim != basis.n_terms:
         raise ValueError(
@@ -64,11 +62,8 @@ def pushforward(posterior: GaussianDist, basis: BasisSpec, points,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     A = vandermonde(basis, pts)
     B = A @ posterior.chol
-    cov = B @ B.T
-    cov = 0.5 * (cov + cov.T)
-    if noise_var:
-        cov = cov + noise_var * np.eye(len(pts))
-    return PfpPrediction(points=pts, mean=A @ posterior.mean, cov=cov)
+    var = np.einsum("ij,ij->i", B, B) + noise_var
+    return PfpPrediction(points=pts, mean=A @ posterior.mean, marginal_var=var)
 
 
 def lpfp(pred: PfpPrediction, y_obs) -> float:
@@ -84,16 +79,14 @@ def lpfp(pred: PfpPrediction, y_obs) -> float:
     return float(-0.5 * np.sum(np.log(2.0 * np.pi * var) + resid**2 / var))
 
 
-def rmse(posterior_mean, basis: BasisSpec, points, y_true) -> float:
-    """RMSE of the mean-coefficient surrogate at validation points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
+def rmse(pred: PfpPrediction, y_true) -> float:
+    """RMSE of the prediction's mean surrogate against true outputs."""
+    if pred.mean.shape[0] == 0:
         raise DomainError("empty validation point list")
     y = np.asarray(y_true, dtype=float).ravel()
-    if y.shape[0] != pts.shape[0]:
+    if y.shape[0] != pred.mean.shape[0]:
         raise ValueError("y_true length does not match point count")
-    pred = vandermonde(basis, pts) @ np.asarray(posterior_mean, dtype=float)
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+    return float(np.sqrt(np.mean((pred.mean - y) ** 2)))
 
 
 def correlation_matrix(dist: GaussianDist) -> np.ndarray:

@@ -24,12 +24,24 @@ def rand_problem(rng, k, objective, mean_gap=0.5):
     return TransferProblem(src, tgt, objective)
 
 
-def _plain_logpdf(draws, mean, cov):
+def _plain_logpdf_of(mean, cov):
+    """Log-density of N(mean, cov) as a function of a (n, k) array of points.
+
+    The inverse and log-determinant are taken once, so quadrature, which
+    calls the integrand point by point, does not repeat them per point.
+    """
     prec = np.linalg.inv(cov)
-    logdet = np.linalg.slogdet(cov)[1]
-    diff = draws - mean
-    quad = np.einsum("ij,jk,ik->i", diff, prec, diff)
-    return -0.5 * (cov.shape[0] * np.log(2 * np.pi) + logdet + quad)
+    const = cov.shape[0] * np.log(2 * np.pi) + np.linalg.slogdet(cov)[1]
+
+    def logpdf(draws):
+        diff = draws - mean
+        return -0.5 * (const + np.einsum("ij,jk,ik->i", diff, prec, diff))
+
+    return logpdf
+
+
+def _plain_logpdf(draws, mean, cov):
+    return _plain_logpdf_of(mean, cov)(draws)
 
 
 def mc_edf(prob, beta, n=1_000_000, seed=0):
@@ -58,9 +70,12 @@ def quad_product_integral(a: GaussianDist, b: GaussianDist) -> float:
     lo = np.minimum(a.mean, b.mean) - 9 * sd
     hi = np.maximum(a.mean, b.mean) + 9 * sd
 
+    logpdf_a = _plain_logpdf_of(a.mean, a.cov)
+    logpdf_b = _plain_logpdf_of(b.mean, b.cov)
+
     def logpdf_pair(x):
         pt = np.asarray(x).reshape(1, -1)
-        return (_plain_logpdf(pt, a.mean, a.cov) + _plain_logpdf(pt, b.mean, b.cov))[0]
+        return (logpdf_a(pt) + logpdf_b(pt))[0]
 
     if k == 1:
         val, _ = integrate.quad(lambda x: np.exp(logpdf_pair([x])), lo[0], hi[0],

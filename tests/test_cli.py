@@ -213,6 +213,19 @@ class TestSweepCommand:
     def test_generic_sweep_requires_scenario(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path / "x")) == 2
 
+    def test_shift_with_every_trial_failed_exits_1(self, tmp_path, capsys):
+        # At shift 200 the reference box spans ~[-0.2, 200], so every degree-3
+        # fit exceeds the condition-number ceiling; shift 0 stays healthy.
+        out = tmp_path / "far"
+        extra = ["--set", "shifts=[0.0,200.0]", "--set", "degrees=[3]",
+                 "--set", "bands=false"]
+        assert run_cli(*tiny_repro_args(out, extra=extra)) == 1
+        for name in ("trials_d3.csv", "aggregate_d3.csv", "summary.json"):
+            assert (out / name).exists()
+        err = capsys.readouterr().err
+        assert "sweep default, shift 200.0, degree 3" in err
+        assert "shift 0.0" not in err
+
     def test_ishigami_summary_contains_beta_and_rmse_columns(self, tmp_path):
         out = tmp_path / "ish"
         code = run_cli("repro-ishigami", "--out", str(out),

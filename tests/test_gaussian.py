@@ -11,7 +11,6 @@ from pce_transfer.gaussian import (
     CalibrationTask,
     GaussianDist,
     fuse,
-    fuse_with_flat_prior,
     likelihood,
     likelihood_with_report,
     log_pdf,
@@ -122,6 +121,22 @@ class TestLikelihood:
         lik = likelihood(task, jitter=1e-6)
         assert np.all(np.isfinite(lik.cov))
 
+    @pytest.mark.parametrize("n_samples", [57, 200])
+    def test_condition_number_matches_design_svd(self, n_samples):
+        # Subsurface sizes: 5 inputs at degree 3 give 56 coefficients.
+        from pce_transfer.basis import vandermonde
+
+        rng = np.random.default_rng(n_samples)
+        box = DomainBox(np.array([1.0, 4.0, 7.0, -2.0, 1.0]),
+                        np.array([3.0, 6.0, 9.0, -1.0, 2.0]))
+        spec = BasisSpec.total_order(box, 3)
+        assert spec.n_terms == 56
+        X = rng.uniform(box.lower, box.upper, size=(n_samples, 5))
+        task = CalibrationTask(spec, X, rng.normal(size=n_samples), noise_var=1.0)
+        _, report = likelihood_with_report(task)
+        s = np.linalg.svd(vandermonde(spec, X), compute_uv=False)
+        assert report["condition_number"] == pytest.approx((s[0] / s[-1]) ** 2, rel=1e-8)
+
     def test_noise_var_estimated_when_absent(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 0)
         task = CalibrationTask(spec, np.array([[0.2], [0.8]]), np.array([1.0, 3.0]))
@@ -170,11 +185,6 @@ class TestFuse:
         post = fuse(d, d)
         np.testing.assert_allclose(post.mean, d.mean, rtol=1e-12)
         np.testing.assert_allclose(post.cov, d.cov / 2.0, rtol=1e-10)
-
-    def test_flat_prior_returns_likelihood(self):
-        rng = np.random.default_rng(2)
-        d = rand_gaussian(rng, 3)
-        assert fuse_with_flat_prior(d) is d
 
     def test_matches_grid_oracle_moments(self):
         rng = np.random.default_rng(7)

@@ -88,6 +88,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="under-determined"):
             small_cubic_cfg(n_target=3)  # degree 3 needs 4 coefficients
 
+    def test_under_determined_source_rejected(self):
+        with pytest.raises(ValueError, match="n_source=3 is under-determined"):
+            small_cubic_cfg(n_source=3)
+
     def test_shift_translates_target_box(self):
         cfg = small_cubic_cfg().with_shift(1.5)
         assert cfg.shift == 1.5
