@@ -10,8 +10,6 @@ from .basis import (
     BasisSpec,
     DomainBox,
     MultiIndexSet,
-    eval_basis,
-    from_reference,
     n_pce,
     to_reference,
     vandermonde,
@@ -27,14 +25,12 @@ from .gaussian import (
 )
 from .harness import (
     ExperimentConfig,
-    SweepTable,
     TrialRecord,
     derive_seed,
     pfp_bands,
     run_shift,
     run_trial,
     sample,
-    sweep,
 )
 from .models import (
     GenerativeModel,

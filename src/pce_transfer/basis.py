@@ -193,12 +193,6 @@ def to_reference(box: DomainBox, x: np.ndarray) -> np.ndarray:
     return xi[0] if squeeze else xi
 
 
-def from_reference(box: DomainBox, xi: np.ndarray) -> np.ndarray:
-    """Inverse of to_reference: map reference coordinates back to model units."""
-    xi = np.asarray(xi, dtype=float)
-    return box.lower + 0.5 * (xi + 1.0) * box.width
-
-
 def legendre_orthonormal(max_degree: int, xi: np.ndarray) -> np.ndarray:
     """Univariate orthonormal Legendre values, shape (len(xi), max_degree + 1).
 
@@ -236,10 +230,3 @@ def vandermonde(spec: BasisSpec, X: np.ndarray) -> np.ndarray:
         A *= table[:, indices[:, j]]
     return A
 
-
-def eval_basis(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
-    """All basis functions evaluated at a single point, shape (n_terms,)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    return vandermonde(spec, x.reshape(1, -1))[0]

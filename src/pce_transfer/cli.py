@@ -117,11 +117,17 @@ def write_csv(path: Path, columns, rows, cfg: dict):
         writer.writerows(rows)
 
 
-def read_trial_csv(path: Path) -> list[TrialRecord]:
+def read_trial_csv(path: Path, config_line: str) -> list[TrialRecord] | None:
+    """Records of a trial CSV written under config_line.
+
+    None when the file is absent or was written under another configuration,
+    so a stale shard is recomputed rather than reused.
+    """
+    if not path.exists():
+        return None
     with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("# config"):
-            raise UsageError(f"{path} is missing its config header line")
+        if fh.readline().rstrip("\n") != config_line:
+            return None
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != TRIAL_CSV_COLUMNS:
@@ -231,6 +237,12 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
     for key in ("source", "target", "objective"):
         if key not in cfg:
             raise UsageError(f"transfer config requires {key!r}")
+    scan_points = cfg.get("scan_points", DEFAULT_SCAN_POINTS)
+    if type(scan_points) is not int or scan_points < 2:
+        raise UsageError(f"scan_points must be an integer >= 2, got {scan_points!r}")
+    beta_floor = cfg.get("beta_floor", DEFAULT_BETA_FLOOR)
+    if type(beta_floor) not in (int, float) or not 0.0 < beta_floor < 1.0:
+        raise UsageError(f"beta_floor must lie in (0, 1), got {beta_floor!r}")
     source = load_posterior_artifact(cfg["source"])
     target = load_posterior_artifact(cfg["target"])
     if source.dim != target.dim:
@@ -238,11 +250,7 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
             f"artifact dimensions differ: source {source.dim}, target {target.dim}"
         )
     prob = TransferProblem(source, target, str(cfg["objective"]))
-    result = optimize_beta(
-        prob,
-        scan_points=int(cfg.get("scan_points", DEFAULT_SCAN_POINTS)),
-        beta_floor=float(cfg.get("beta_floor", DEFAULT_BETA_FLOOR)),
-    )
+    result = optimize_beta(prob, scan_points=scan_points, beta_floor=beta_floor)
     write_json(out_dir / "beta_result.json", {
         "config": cfg,
         "objective": prob.objective,
@@ -289,6 +297,8 @@ def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
         if replacements:
             exp_cfg = dataclasses.replace(exp_cfg, **replacements)
         if "shifts" in cfg:
+            if not isinstance(cfg["shifts"], list) or not cfg["shifts"]:
+                raise UsageError("shifts must be a non-empty list of numbers")
             shifts = tuple(float(s) for s in cfg["shifts"])
         resolved.append((tag, exp_cfg, shifts))
     return resolved
@@ -304,6 +314,7 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
         resolved = dict(cfg)
         resolved["resolved_experiment"] = exp_cfg.to_dict()
         resolved["shifts"] = list(shifts)
+        config_line = canonical_config_line(resolved)
 
         records_by_degree = {d: [] for d in exp_cfg.degrees}
         aggregates_by_degree = {d: [] for d in exp_cfg.degrees}
@@ -312,9 +323,10 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
                 d: sweep_dir / "shards" / f"shift_{idx:03d}_d{d}.csv"
                 for d in exp_cfg.degrees
             }
-            if not force and all(p.exists() for p in shard_paths.values()):
-                by_degree = {d: read_trial_csv(p) for d, p in shard_paths.items()}
-            else:
+            by_degree = {} if force else {
+                d: read_trial_csv(p, config_line) for d, p in shard_paths.items()
+            }
+            if not by_degree or None in by_degree.values():
                 by_degree = run_shift(exp_cfg, shift, workers=workers)
                 for d, recs in by_degree.items():
                     write_csv(shard_paths[d], TRIAL_CSV_COLUMNS,

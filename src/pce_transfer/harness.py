@@ -1,10 +1,11 @@
-"""Ensemble experiment harness: sampling, trials, sweeps, and band exports.
+"""Ensemble experiment harness: sampling, trials, shifts, and band exports.
 
 A trial samples source/target/validation data, builds both likelihoods on the
 affine frame of the box encompassing the source and target domains, optimizes
 the tempering exponent, and scores the tempered posterior against no transfer
-(beta = 0) and full transfer (beta = 1) on held-out validation data.  Sweeps
-repeat trials across a sequence of domain or task shifts and aggregate.
+(beta = 0) and full transfer (beta = 1) on held-out validation data.
+`run_shift` runs every trial at one domain or task shift and
+`aggregate_records` summarizes them; the CLI sweeps a list of shifts.
 
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
@@ -23,7 +24,7 @@ from .basis import BasisSpec, DomainBox, n_pce
 from .errors import CalibrationError, NumericError
 from .gaussian import CalibrationTask, likelihood
 from .models import GenerativeModel
-from .predict import lpfp, pushforward, rmse
+from .predict import PfpPrediction, lpfp, pushforward, rmse
 from .transfer import TransferProblem, optimize_beta, tempered_posterior
 
 SAMPLERS = ("uniform", "latin-hypercube")
@@ -252,6 +253,30 @@ def _failed_record(trial: int, shift: float, reason: str) -> TrialRecord:
                        status=f"failed: {reason}")
 
 
+def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int,
+                   points: np.ndarray) -> tuple[float, dict[str, PfpPrediction]]:
+    """Fit both tasks at one degree, optimize beta, and predict at points.
+
+    Returns beta* and the predictions at beta = 0 ("b0"), beta* ("bstar")
+    and beta = 1 ("b1"), in that order.
+    """
+    spec = BasisSpec.total_order(cfg.reference_box(), degree)
+    noise_var = cfg.noise_var()
+    source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, noise_var))
+    target_lik = likelihood(CalibrationTask(spec, data.X_target, data.y_target, noise_var))
+    prob = TransferProblem(source_lik, target_lik, cfg.objective)
+    result = optimize_beta(prob)
+    posteriors = {
+        "b0": tempered_posterior(prob, 0.0),
+        "bstar": result.tempered_posterior,
+        "b1": tempered_posterior(prob, 1.0),
+    }
+    return result.beta_star, {
+        tag: pushforward(post, spec, points, noise_var=cfg.lpfp_noise_var)
+        for tag, post in posteriors.items()
+    }
+
+
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
     """One ensemble realization for every configured degree.
 
@@ -259,33 +284,16 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
     rather than aborting the sweep.
     """
     data = trial_data(cfg, trial)
-    ref_box = cfg.reference_box()
-    noise_var = cfg.noise_var()
     records: dict[int, TrialRecord] = {}
     for degree in cfg.degrees:
-        spec = BasisSpec.total_order(ref_box, degree)
         try:
-            source_lik = likelihood(
-                CalibrationTask(spec, data.X_source, data.y_source, noise_var)
-            )
-            target_lik = likelihood(
-                CalibrationTask(spec, data.X_target, data.y_target, noise_var)
-            )
-            prob = TransferProblem(source_lik, target_lik, cfg.objective)
-            result = optimize_beta(prob)
-            posteriors = {
-                "b0": tempered_posterior(prob, 0.0),
-                "bstar": result.tempered_posterior,
-                "b1": tempered_posterior(prob, 1.0),
-            }
+            beta_star, preds = _predict_modes(cfg, data, degree, data.X_val)
             scores = {}
-            for tag, post in posteriors.items():
-                pred = pushforward(post, spec, data.X_val,
-                                   noise_var=cfg.lpfp_noise_var)
+            for tag, pred in preds.items():
                 scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)
                 scores[f"rmse_{tag}"] = rmse(pred, data.y_val)
             records[degree] = TrialRecord(
-                trial=trial, shift=cfg.shift, beta_star=result.beta_star,
+                trial=trial, shift=cfg.shift, beta_star=beta_star,
                 status="ok", **scores,
             )
         except (CalibrationError, NumericError) as exc:
@@ -295,9 +303,14 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
 
 def run_shift(cfg_template: ExperimentConfig, shift: float,
               workers: int = 1) -> dict[int, list[TrialRecord]]:
-    """All trials at one shift, keyed by degree and ordered by trial index."""
+    """All trials at one shift, keyed by degree and ordered by trial index.
+
+    The pool never holds more processes than there are trials: it starts
+    all of them at the first submit.
+    """
     cfg = cfg_template.with_shift(shift)
     trials = range(cfg.n_trials)
+    workers = min(workers, cfg.n_trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, [cfg] * cfg.n_trials, trials))
@@ -331,35 +344,6 @@ def aggregate_records(shift: float, records: list[TrialRecord]) -> dict:
     return row
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    """Per-degree sweep output: every trial record plus per-shift aggregates."""
-
-    degree: int
-    trials: list[TrialRecord]
-    aggregates: list[dict]
-
-
-def sweep(cfg_template: ExperimentConfig, shifts,
-          workers: int = 1) -> list[SweepTable]:
-    """Run every shift and aggregate, one table per configured degree."""
-    shifts = list(shifts)
-    if not shifts:
-        raise ValueError("shift list must not be empty")
-    trials_by_degree = {d: [] for d in cfg_template.degrees}
-    aggregates_by_degree = {d: [] for d in cfg_template.degrees}
-    for shift in shifts:
-        by_degree = run_shift(cfg_template, shift, workers=workers)
-        for d, records in by_degree.items():
-            trials_by_degree[d].extend(records)
-            aggregates_by_degree[d].append(aggregate_records(shift, records))
-    return [
-        SweepTable(degree=d, trials=trials_by_degree[d],
-                   aggregates=aggregates_by_degree[d])
-        for d in cfg_template.degrees
-    ]
-
-
 def pfp_bands(cfg_template: ExperimentConfig, shift: float, trial: int = 0,
               n_grid: int = 121) -> dict[int, list[tuple]]:
     """Plot-ready mean +/- 2 sd bands over the encompassing interval.
@@ -373,22 +357,11 @@ def pfp_bands(cfg_template: ExperimentConfig, shift: float, trial: int = 0,
     data = trial_data(cfg, trial)
     ref_box = cfg.reference_box()
     grid = np.linspace(ref_box.lower[0], ref_box.upper[0], n_grid).reshape(-1, 1)
-    noise_var = cfg.noise_var()
     out: dict[int, list[tuple]] = {}
     for degree in cfg.degrees:
-        spec = BasisSpec.total_order(ref_box, degree)
-        source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, noise_var))
-        target_lik = likelihood(CalibrationTask(spec, data.X_target, data.y_target, noise_var))
-        prob = TransferProblem(source_lik, target_lik, cfg.objective)
-        result = optimize_beta(prob)
-        posteriors = {
-            "b0": tempered_posterior(prob, 0.0),
-            "bstar": result.tempered_posterior,
-            "b1": tempered_posterior(prob, 1.0),
-        }
+        _, preds = _predict_modes(cfg, data, degree, grid)
         rows = []
-        for tag, post in posteriors.items():
-            pred = pushforward(post, spec, grid, noise_var=cfg.lpfp_noise_var)
+        for tag, pred in preds.items():
             sd = np.sqrt(np.maximum(pred.marginal_var, 0.0))
             for x, m, s in zip(grid[:, 0], pred.mean, sd):
                 rows.append((float(x), float(m), float(m - 2 * s), float(m + 2 * s), tag))

@@ -1,7 +1,7 @@
 """Shipped study configurations for the three reproduction scenarios.
 
-Constants live here so the CLI, the scripts, and the acceptance suite all run
-the same studies.  Two noise scales appear in every scenario: `noise_sd` is
+Constants live here so the CLI and the acceptance suite run the same
+studies.  Two noise scales appear in every scenario: `noise_sd` is
 the injected observation noise, while `likelihood_noise_sd` is the noise
 scale assumed by the likelihood covariances.  The assumed scale deliberately
 dominates the injected one (it acts as a trust level on each task's fitted

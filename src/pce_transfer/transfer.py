@@ -16,11 +16,11 @@ is better:
        spread;
   DS   Dice similarity, a normalized product integral of the two densities.
 
-The optimizer runs a dense scan followed by golden-section refinement.  The
-scan evaluates all objectives through a simultaneous-diagonalization
-reparameterization of the same closed forms (one O(p^3) factorization, then
-O(p) per beta); `objective_value` keeps the plain matrix forms and the two
-routes are tested against each other.
+Every objective is evaluated by one solver: a simultaneous-diagonalization
+reparameterization of the closed forms (one O(p^3) factorization, then O(p)
+per beta).  The optimizer scans it on a dense grid and refines with
+golden-section search; `objective_value` evaluates the same solver at one
+beta, so a value it returns equals the matching scan point bit for bit.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, solve_triangular
+from scipy.linalg import eigh, solve_triangular
 
 from .errors import DomainError, NumericError
-from .gaussian import GaussianDist, fuse, log_pdf
+from .gaussian import GaussianDist, fuse
 
 OBJECTIVES = ("EDF", "KLD", "ME", "DS")
 
@@ -95,11 +95,6 @@ def tempered_posterior(prob: TransferProblem, beta: float) -> GaussianDist:
     return fuse(temper(prob.source, beta), prob.target)
 
 
-def log_product_integral(a: GaussianDist, b: GaussianDist) -> float:
-    """log of the inner product <a, b> = integral of the two densities' product."""
-    return log_pdf(GaussianDist(b.mean, a.cov + b.cov), a.mean)
-
-
 def _check_beta(objective: str, beta: float, beta_floor: float):
     if objective == "EDF":
         if not 0.0 <= beta <= 1.0:
@@ -112,46 +107,13 @@ def _check_beta(objective: str, beta: float, beta_floor: float):
 
 def objective_value(prob: TransferProblem, beta: float,
                     beta_floor: float = DEFAULT_BETA_FLOOR) -> float:
-    """Value of the problem's objective at one beta; larger is always better."""
+    """Value of the problem's objective at one beta; larger is always better.
+
+    Runs the solver that `optimize_beta` scans, so it reproduces the scan
+    curve exactly at the scan's own beta values.
+    """
     _check_beta(prob.objective, beta, beta_floor)
-    k = prob.target.dim
-    mu_t, cov_t = prob.target.mean, prob.target.cov
-    L_t = prob.target.chol
-    logdet_t = 2.0 * np.sum(np.log(np.diag(L_t)))
-
-    if prob.objective == "EDF":
-        post = tempered_posterior(prob, beta)
-        z = solve_triangular(L_t, post.mean - mu_t, lower=True)
-        M = solve_triangular(L_t, post.chol, lower=True)
-        trace = float(np.sum(M**2))
-        return float(-0.5 * (z @ z + trace + k * np.log(2.0 * np.pi) + logdet_t))
-
-    if prob.objective == "KLD":
-        post = tempered_posterior(prob, beta)
-        L_s = prob.source.chol
-        z = solve_triangular(L_s, post.mean - prob.source.mean, lower=True)
-        M = solve_triangular(L_s, post.chol, lower=True)
-        logdet_s = 2.0 * np.sum(np.log(np.diag(L_s)))
-        logdet_p = 2.0 * np.sum(np.log(np.diag(post.chol)))
-        kl = 0.5 * (
-            beta * float(np.sum(M**2))
-            + beta * float(z @ z)
-            - k
-            + (logdet_s - k * np.log(beta))
-            - logdet_p
-        )
-        return float(-kl)
-
-    if prob.objective == "ME":
-        spread = GaussianDist(prob.source.mean, cov_t + prob.source.cov / beta)
-        return log_pdf(spread, mu_t)
-
-    # DS: Dice similarity from pairwise Gaussian product integrals.
-    tempered = temper(prob.source, beta)
-    l_st = log_product_integral(tempered, prob.target)
-    l_ss = log_product_integral(tempered, tempered)
-    l_tt = log_product_integral(prob.target, prob.target)
-    return float(2.0 * np.exp(l_st - np.logaddexp(l_ss, l_tt)))
+    return _WhitenedScan(prob).value(beta)
 
 
 class _WhitenedScan:
@@ -159,8 +121,7 @@ class _WhitenedScan:
 
     With z = U^T L_T^{-1} theta the target becomes N(m_T, I) and the source
     N(m_S, diag(1/w)), so every tempered-posterior quantity reduces to
-    elementwise arithmetic on the eigenvalues w.  Values agree with
-    `objective_value` to round-off.
+    elementwise arithmetic on the eigenvalues w.
     """
 
     def __init__(self, prob: TransferProblem):

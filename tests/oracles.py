@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the package's closed-form code paths:
 densities go through plain inv/slogdet algebra, integrals through scipy's
-adaptive quadrature, and expectations through Monte-Carlo sampling.
+adaptive quadrature, and expectations through Monte-Carlo sampling.  The
+objectives also have a direct matrix form here, one beta at a time, to check
+the package's whitened solver against.
 """
 
 import numpy as np
@@ -42,6 +44,41 @@ def _plain_logpdf_of(mean, cov):
 
 def _plain_logpdf(draws, mean, cov):
     return _plain_logpdf_of(mean, cov)(draws)
+
+
+def log_product_integral(a: GaussianDist, b: GaussianDist) -> float:
+    """log of the integral of the product of two Gaussian densities."""
+    return float(_plain_logpdf(a.mean[None, :], b.mean, a.cov + b.cov)[0])
+
+
+def direct_objective(prob: TransferProblem, beta: float) -> float:
+    """The problem's objective at one beta from its plain matrix form."""
+    target = prob.target
+    if prob.objective == "EDF":
+        post = tempered_posterior(prob, beta)
+        # E_post[log N(theta; m_T, S_T)] = log N(m_post; m_T, S_T) - tr(S_T^-1 S_post) / 2
+        trace = np.trace(np.linalg.solve(target.cov, post.cov))
+        return float(_plain_logpdf(post.mean[None, :], target.mean, target.cov)[0]
+                     - 0.5 * trace)
+    tempered = GaussianDist(prob.source.mean, prob.source.cov / beta)
+    if prob.objective == "KLD":
+        post = tempered_posterior(prob, beta)
+        diff = post.mean - tempered.mean
+        kl = 0.5 * (
+            np.trace(np.linalg.solve(tempered.cov, post.cov))
+            + diff @ np.linalg.solve(tempered.cov, diff)
+            - target.dim
+            + np.linalg.slogdet(tempered.cov)[1]
+            - np.linalg.slogdet(post.cov)[1]
+        )
+        return float(-kl)
+    if prob.objective == "ME":
+        return log_product_integral(tempered, target)
+    # DS: Dice similarity 2 <s, t> / (<s, s> + <t, t>) of the product integrals.
+    l_st = log_product_integral(tempered, target)
+    l_ss = log_product_integral(tempered, tempered)
+    l_tt = log_product_integral(target, target)
+    return float(2.0 * np.exp(l_st - np.logaddexp(l_ss, l_tt)))
 
 
 def mc_edf(prob, beta, n=1_000_000, seed=0):

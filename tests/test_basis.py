@@ -12,8 +12,6 @@ from pce_transfer.basis import (
     BasisSpec,
     DomainBox,
     MultiIndexSet,
-    eval_basis,
-    from_reference,
     legendre_orthonormal,
     n_pce,
     to_reference,
@@ -100,7 +98,7 @@ class TestToReference:
     def test_round_trip_identity(self, lo, width, t):
         box = DomainBox(np.array([lo]), np.array([lo + width]))
         x = np.array([lo + t * width])
-        back = from_reference(box, to_reference(box, x))
+        back = box.lower + 0.5 * (to_reference(box, x) + 1.0) * box.width
         np.testing.assert_allclose(back, x, atol=1e-14 * max(1.0, abs(lo) + width))
 
 
@@ -146,26 +144,26 @@ class TestUnivariateLegendre:
 class TestEvalBasis:
     def test_constant_component_is_one(self):
         spec = BasisSpec.total_order(DomainBox(np.array([-2.0, 1.0]), np.array([3.0, 4.0])), 3)
-        vals = eval_basis(spec, np.array([0.7, 2.2]))
+        vals = vandermonde(spec, np.array([[0.7, 2.2]]))[0]
         assert vals[0] == 1.0
 
     def test_degree_one_at_right_endpoint(self):
         # Frozen from the quadrature normalization oracle: psi_1(1) = sqrt(3).
         spec = BasisSpec.total_order(DomainBox(np.array([-1.0]), np.array([1.0])), 3)
-        vals = eval_basis(spec, np.array([1.0]))
+        vals = vandermonde(spec, np.array([[1.0]]))[0]
         assert vals[1] == pytest.approx(1.7320508075688772, rel=1e-12)
 
     def test_degree_two_at_half(self):
         # Frozen from the quadrature normalization oracle:
         # psi_2(0.5) = sqrt(5) * (3*0.25 - 1)/2 = -0.27950849718747384.
         spec = BasisSpec.total_order(DomainBox(np.array([-1.0]), np.array([1.0])), 2)
-        vals = eval_basis(spec, np.array([0.5]))
+        vals = vandermonde(spec, np.array([[0.5]]))[0]
         assert vals[2] == pytest.approx(-0.27950849718747384, rel=1e-12)
 
     def test_multivariate_product_structure(self):
         spec = BasisSpec.total_order(DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 3)
         x = np.array([0.3, -0.6])
-        vals = eval_basis(spec, x)
+        vals = vandermonde(spec, x.reshape(1, -1))[0]
         t0 = legendre_orthonormal(3, np.array([x[0]]))[0]
         t1 = legendre_orthonormal(3, np.array([x[1]]))[0]
         for row, expect in zip(spec.index_set.indices, vals):

@@ -128,6 +128,20 @@ class TestTransfer:
         payload = json.loads((out / "beta_result.json").read_text())
         assert len(payload["curve"]["beta"]) == 301
 
+    @pytest.mark.parametrize("setting", [
+        "scan_points=0", "scan_points=-5", "scan_points=1", "scan_points=2.7",
+        "scan_points=true", "beta_floor=2", "beta_floor=0", "beta_floor=-1",
+        "beta_floor=1", "beta_floor=small",
+    ])
+    def test_invalid_scan_settings_exit_2(self, cubic_dataset, tmp_path, setting):
+        art = self.make_artifact(cubic_dataset, tmp_path / "fit")
+        out = tmp_path / "tr"
+        code = run_cli("transfer", "--out", str(out),
+                       "--set", f"source={art}", "--set", f"target={art}",
+                       "--set", "objective=ME", "--set", setting)
+        assert code == 2
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_2(self, cubic_dataset, tmp_path):
         art3 = self.make_artifact(cubic_dataset, tmp_path / "f3")
         out1 = tmp_path / "f1"
@@ -181,14 +195,29 @@ class TestRepro:
         assert run_cli(*tiny_repro_args(out)) == 0
         shard = out / "shards" / "shift_000_d1.csv"
         original = shard.read_bytes()
-        # Tampering with the shard then re-running without --force preserves
-        # the tampered file (the shift is skipped), while --force recomputes.
-        tampered = original.replace(b"0.0,", b"0.5,", 1)
+        # Tampering with a data row of the shard then re-running without
+        # --force preserves the tampered file (the shift is skipped), while
+        # --force recomputes.
+        header, columns, row = original.split(b"\n", 2)
+        tampered = b"\n".join([header, columns, row.replace(b"0,0.0,", b"0,0.5,", 1)])
+        assert tampered != original
         shard.write_bytes(tampered)
         assert run_cli(*tiny_repro_args(out)) == 0
         assert shard.read_bytes() == tampered
         assert run_cli(*tiny_repro_args(out, extra=["--force"])) == 0
         assert shard.read_bytes() == original
+
+    def test_shard_from_another_config_is_recomputed(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(*tiny_repro_args(out)) == 0
+        assert run_cli(*tiny_repro_args(out, extra=["--set", "n_trials=3"])) == 0
+        fresh = tmp_path / "fresh"
+        assert run_cli(*tiny_repro_args(fresh, extra=["--set", "n_trials=3"])) == 0
+        for rel in ("shards/shift_000_d1.csv", "trials_d1.csv", "aggregate_d1.csv",
+                    "summary.json"):
+            assert (out / rel).read_bytes() == (fresh / rel).read_bytes(), rel
+        lines = (out / "trials_d1.csv").read_text().splitlines()
+        assert len(lines) == 2 + 3
 
     def test_seed_flag_changes_results(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -212,6 +241,11 @@ class TestRepro:
 class TestSweepCommand:
     def test_generic_sweep_requires_scenario(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path / "x")) == 2
+
+    def test_empty_shift_list_exits_2(self, tmp_path):
+        out = tmp_path / "empty"
+        assert run_cli(*tiny_repro_args(out, extra=["--set", "shifts=[]"])) == 2
+        assert not out.exists()
 
     def test_shift_with_every_trial_failed_exits_1(self, tmp_path, capsys):
         # At shift 200 the reference box spans ~[-0.2, 200], so every degree-3

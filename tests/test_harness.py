@@ -1,4 +1,4 @@
-"""Tests for sampling, trials, sweeps, and band exports."""
+"""Tests for sampling, trials, shifts, aggregates, and band exports."""
 
 import dataclasses
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pce_transfer import harness
 from pce_transfer.basis import BasisSpec, DomainBox
 from pce_transfer.gaussian import CalibrationTask, likelihood
 from pce_transfer.harness import (
@@ -17,7 +18,6 @@ from pce_transfer.harness import (
     run_shift,
     run_trial,
     sample,
-    sweep,
     trial_data,
 )
 from pce_transfer.models import cubic_model
@@ -174,11 +174,10 @@ class TestTrialIndependenceAndSweep:
 
     def test_single_trial_aggregate_is_identity(self):
         cfg = small_cubic_cfg(n_trials=1)
-        tables = sweep(cfg, [0.0])
-        tab = tables[0]
-        assert len(tab.trials) == 1
-        rec = tab.trials[0]
-        agg = tab.aggregates[0]
+        records = run_shift(cfg, 0.0)[3]
+        assert len(records) == 1
+        rec = records[0]
+        agg = aggregate_records(0.0, records)
         assert agg["beta_star_mean"] == rec.beta_star
         assert agg["beta_star_sd"] == 0.0
         assert agg["rmse_bstar_mean"] == rec.rmse_bstar
@@ -187,19 +186,42 @@ class TestTrialIndependenceAndSweep:
 
     def test_sweep_is_reproducible(self):
         cfg = small_cubic_cfg(n_trials=2)
-        t1 = sweep(cfg, [0.0, 1.0])
-        t2 = sweep(cfg, [0.0, 1.0])
-        assert t1 == t2
-
-    def test_empty_shift_list_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(small_cubic_cfg(), [])
+        for shift in (0.0, 1.0):
+            first = run_shift(cfg, shift)
+            second = run_shift(cfg, shift)
+            assert first == second
+            assert aggregate_records(shift, first[3]) == aggregate_records(shift, second[3])
 
     def test_parallel_workers_match_serial(self):
         cfg = small_cubic_cfg(n_trials=4)
         serial = run_shift(cfg, 0.5, workers=1)
         parallel = run_shift(cfg, 0.5, workers=2)
         assert serial == parallel
+
+    def test_pool_never_exceeds_trial_count(self, monkeypatch):
+        # The executor forks all max_workers processes at the first submit,
+        # so extra workers would sit idle; an in-process fake records the size.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        cfg = small_cubic_cfg(n_trials=2)
+        assert run_shift(cfg, 0.5, workers=64) == run_shift(cfg, 0.5)
+        assert sizes == [2]
+        run_shift(small_cubic_cfg(n_trials=1), 0.5, workers=64)
+        assert sizes == [2]
 
     def test_aggregate_excludes_failed_trials(self):
         from pce_transfer.harness import TrialRecord, _failed_record

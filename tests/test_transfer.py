@@ -2,7 +2,7 @@
 
 The objective closed forms are checked against independent numerical
 oracles: Monte-Carlo expectations for EDF and KLD, adaptive quadrature of
-the defining integrals for ME and DS.
+the defining integrals for ME and DS, and the plain matrix forms of all four.
 """
 
 import numpy as np
@@ -10,14 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mc_edf, mc_kld, quad_product_integral, rand_problem, rand_spd
+from oracles import (
+    direct_objective,
+    log_product_integral,
+    mc_edf,
+    mc_kld,
+    quad_product_integral,
+    rand_problem,
+    rand_spd,
+)
 from pce_transfer.errors import DomainError, NumericError
 from pce_transfer.gaussian import GaussianDist, fuse, log_pdf
 from pce_transfer.predict import correlation_matrix
 from pce_transfer.transfer import (
     TransferProblem,
-    _WhitenedScan,
-    log_product_integral,
     objective_value,
     optimize_beta,
     temper,
@@ -178,13 +184,21 @@ class TestObjectiveValues:
         rng = np.random.default_rng(9)
         for k in (1, 3, 8):
             prob = rand_problem(rng, k, objective)
-            scan = _WhitenedScan(prob)
             betas = [1e-6, 0.01, 0.3, 0.77, 1.0]
             if objective == "EDF":
                 betas.append(0.0)
             for beta in betas:
-                direct = objective_value(prob, beta)
-                assert scan.value(beta) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+                direct = direct_objective(prob, beta)
+                assert objective_value(prob, beta) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("objective", ["EDF", "KLD", "ME", "DS"])
+    def test_single_values_reproduce_the_scan_curve(self, objective):
+        rng = np.random.default_rng(19)
+        for k in (1, 2, 10, 56):
+            prob = rand_problem(rng, k, objective)
+            res = optimize_beta(prob)
+            for i in np.linspace(0, len(res.betas) - 1, 6).astype(int):
+                assert objective_value(prob, res.betas[i]) == res.values[i], (k, i)
 
 
 class TestObjectiveOracles:
