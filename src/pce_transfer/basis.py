@@ -10,6 +10,7 @@ are mapped onto the reference cube [-1, 1]^n by a per-dimension affine map.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,9 +161,13 @@ class BasisSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BasisSpec":
+        for key in ("dimension", "degree"):
+            value = cfg[key]
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
         box = DomainBox(np.asarray(cfg["lower"], dtype=float),
                         np.asarray(cfg["upper"], dtype=float))
-        if box.dimension != int(cfg["dimension"]):
+        if box.dimension != cfg["dimension"]:
             raise ValueError("bounds length does not match the declared dimension")
         return cls.total_order(box, int(cfg["degree"]))
 

@@ -42,6 +42,7 @@ from .harness import (
 )
 from .scenarios import (
     CUBIC_BAND_TARGETS,
+    SUBSURFACE_SWEEPS,
     cubic_scenario,
     ishigami_scenario,
     subsurface_scenario,
@@ -62,9 +63,11 @@ REPRO_COMMANDS = {
 FIT_KEYS = {"dataset", "dimension", "degree", "lower", "upper", "noise_var",
             "cond_ceiling", "jitter"}
 TRANSFER_KEYS = {"source", "target", "objective", "scan_points", "beta_floor"}
-SWEEP_KEYS = {"scenario", "n_trials", "seed", "objective", "degrees", "noise_sd",
-              "likelihood_noise_sd", "lpfp_noise_var", "n_source", "n_target",
-              "n_val", "sampler", "shifts", "sweep_param", "bands"}
+# The ExperimentConfig fields a sweep may override; it validates them.
+EXPERIMENT_KEYS = ("n_trials", "seed", "objective", "degrees", "noise_sd",
+                   "likelihood_noise_sd", "lpfp_noise_var", "n_source", "n_target",
+                   "n_val", "sampler")
+SWEEP_KEYS = {*EXPERIMENT_KEYS, "scenario", "shifts", "sweep_param", "bands"}
 
 
 class UsageError(Exception):
@@ -132,15 +135,8 @@ def read_trial_csv(path: Path, config_line: str) -> list[TrialRecord] | None:
         header = next(reader)
         if tuple(header) != TRIAL_CSV_COLUMNS:
             raise UsageError(f"{path} has unexpected columns {header}")
-        records = []
-        for row in reader:
-            records.append(TrialRecord(
-                trial=int(row[0]), shift=float(row[1]), beta_star=float(row[2]),
-                lpfp_b0=float(row[3]), lpfp_bstar=float(row[4]), lpfp_b1=float(row[5]),
-                rmse_b0=float(row[6]), rmse_bstar=float(row[7]), rmse_b1=float(row[8]),
-                status=row[9],
-            ))
-    return records
+        return [TrialRecord(int(row[0]), *map(float, row[1:9]), status=row[9])
+                for row in reader]
 
 
 def write_json(path: Path, payload: dict):
@@ -198,15 +194,15 @@ def cmd_fit(cfg: dict, out_dir: Path) -> int:
     for key in ("dataset", "dimension", "degree", "lower", "upper"):
         if key not in cfg:
             raise UsageError(f"fit config requires {key!r}")
-    spec = BasisSpec.from_config(cfg)
-    X, Y = load_dataset(cfg["dataset"], spec.box.dimension)
-    noise_var = cfg.get("noise_var")
-    task = CalibrationTask(spec, X, Y, noise_var)
-    dist, report = likelihood_with_report(
-        task,
-        cond_ceiling=float(cfg.get("cond_ceiling", DEFAULT_COND_CEILING)),
-        jitter=float(cfg.get("jitter", 0.0)),
-    )
+    try:
+        spec = BasisSpec.from_config(cfg)
+        X, Y = load_dataset(cfg["dataset"], spec.box.dimension)
+        task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
+        cond_ceiling = float(cfg.get("cond_ceiling", DEFAULT_COND_CEILING))
+        jitter = float(cfg.get("jitter", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid fit config: {exc}") from exc
+    dist, report = likelihood_with_report(task, cond_ceiling=cond_ceiling, jitter=jitter)
     write_json(out_dir / "posterior.json", {
         "config": cfg,
         "basis": spec.to_config(),
@@ -228,9 +224,12 @@ def load_posterior_artifact(path: str) -> GaussianDist:
         raise UsageError(f"posterior artifact not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"posterior artifact {path} is not valid JSON: {exc}") from exc
-    if "posterior" not in payload:
+    if not isinstance(payload, dict) or "posterior" not in payload:
         raise UsageError(f"posterior artifact {path} lacks a 'posterior' record")
-    return GaussianDist.from_record(payload["posterior"])
+    try:
+        return GaussianDist.from_record(payload["posterior"])
+    except (KeyError, TypeError, ValueError, NumericError) as exc:
+        raise UsageError(f"posterior artifact {path}: bad 'posterior' record {exc!r}") from exc
 
 
 def cmd_transfer(cfg: dict, out_dir: Path) -> int:
@@ -249,7 +248,10 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
         raise UsageError(
             f"artifact dimensions differ: source {source.dim}, target {target.dim}"
         )
-    prob = TransferProblem(source, target, str(cfg["objective"]))
+    try:
+        prob = TransferProblem(source, target, str(cfg["objective"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     result = optimize_beta(prob, scan_points=scan_points, beta_floor=beta_floor)
     write_json(out_dir / "beta_result.json", {
         "config": cfg,
@@ -266,47 +268,38 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
 def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
     """Resolve the scenario name plus overrides into (tag, config, shifts)."""
     name = cfg.get("scenario")
-    if name not in ("cubic", "ishigami", "subsurface-synthetic"):
-        raise UsageError(
-            "scenario must be one of 'cubic', 'ishigami', 'subsurface-synthetic'"
-        )
-    common = {}
-    for key in ("n_trials", "seed", "objective", "noise_sd"):
-        if key in cfg:
-            common[key] = cfg[key]
     if name == "cubic":
-        if "degrees" in cfg:
-            common["degrees"] = tuple(cfg["degrees"])
-        scenarios = [("", *cubic_scenario(**common))]
+        scenarios = [("", *cubic_scenario())]
     elif name == "ishigami":
-        scenarios = [("", *ishigami_scenario(**common))]
-    else:
+        scenarios = [("", *ishigami_scenario())]
+    elif name == "subsurface-synthetic":
         param = cfg.get("sweep_param", "both")
-        params = ("z2", "R3") if param == "both" else (param,)
-        if any(p not in ("z2", "R3") for p in params):
-            raise UsageError("sweep_param must be 'z2', 'R3', or 'both'")
-        scenarios = [(p, *subsurface_scenario(sweep_param=p, **common)) for p in params]
-
-    resolved = []
-    for tag, exp_cfg, shifts in scenarios:
-        replacements = {}
-        for key in ("likelihood_noise_sd", "lpfp_noise_var", "n_source",
-                    "n_target", "n_val", "sampler"):
-            if key in cfg:
-                replacements[key] = cfg[key]
-        if replacements:
-            exp_cfg = dataclasses.replace(exp_cfg, **replacements)
-        if "shifts" in cfg:
-            if not isinstance(cfg["shifts"], list) or not cfg["shifts"]:
-                raise UsageError("shifts must be a non-empty list of numbers")
-            shifts = tuple(float(s) for s in cfg["shifts"])
-        resolved.append((tag, exp_cfg, shifts))
-    return resolved
+        if param not in ("both", *SUBSURFACE_SWEEPS):
+            raise UsageError(f"sweep_param must be 'z2', 'R3', or 'both', got {param!r}")
+        params = tuple(SUBSURFACE_SWEEPS) if param == "both" else (param,)
+        scenarios = [(p, *subsurface_scenario(p)) for p in params]
+    else:
+        raise UsageError("scenario must be one of 'cubic', 'ishigami', 'subsurface-synthetic'")
+    if "sweep_param" in cfg and name != "subsurface-synthetic":
+        raise UsageError("sweep_param applies to the subsurface-synthetic scenario only")
+    shifts = cfg.get("shifts")
+    if shifts is not None and not (isinstance(shifts, list) and shifts and all(
+            type(s) in (int, float) and abs(s) <= sys.float_info.max for s in shifts)):
+        raise UsageError(f"shifts must be a non-empty list of finite numbers, got {shifts!r}")
+    overrides = {key: cfg[key] for key in EXPERIMENT_KEYS if key in cfg}
+    try:
+        return [(tag, dataclasses.replace(exp_cfg, **overrides),
+                 tuple(map(float, shifts or default_shifts)))
+                for tag, exp_cfg, default_shifts in scenarios]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> int:
     scenarios = build_scenarios(cfg)
-    want_bands = bool(cfg.get("bands", cfg.get("scenario") == "cubic"))
+    bands = cfg.get("bands", cfg["scenario"] == "cubic")
+    if type(bands) is not bool or (bands and cfg["scenario"] != "cubic"):
+        raise UsageError(f"bands must be false, or true for the 1-D cubic scenario; got {bands!r}")
     summary: dict = {"config": cfg, "sweeps": {}}
     all_failed = []
     for tag, exp_cfg, shifts in scenarios:
@@ -349,7 +342,7 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
                 col: [row[col] for row in aggregates] for col in AGGREGATE_CSV_COLUMNS
             }
 
-        if want_bands and exp_cfg.model.dimension == 1:
+        if bands:
             for label, band_shift in CUBIC_BAND_TARGETS.items():
                 by_degree = pfp_bands(exp_cfg, band_shift)
                 for d, rows in by_degree.items():
@@ -418,10 +411,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, CalibrationError, NumericError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, CalibrationError, NumericError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

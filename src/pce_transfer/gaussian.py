@@ -9,6 +9,7 @@ inverses of the design matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +102,9 @@ class CalibrationTask:
         Y = np.asarray(self.Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y have different numbers of samples")
-        if self.noise_var is not None and not self.noise_var > 0:
-            raise ValueError("noise_var must be positive when given")
+        nv = self.noise_var
+        if nv is not None and (type(nv) is bool or not (isinstance(nv, numbers.Real) and nv > 0)):
+            raise ValueError(f"noise_var must be positive when given, got {nv!r}")
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -122,8 +124,11 @@ def likelihood_with_report(task: CalibrationTask,
     covariance is noise_var * (A^T A)^{-1} assembled from the R factor, and
     the condition number of A^T A comes from R's singular values.
     Ill-conditioning raises CalibrationError naming that condition number
-    unless an explicit ridge `jitter` is opted into.
+    unless an explicit ridge `jitter` > 0 is opted into.
     """
+    if not (cond_ceiling > 0.0 and jitter >= 0.0):
+        raise ValueError("cond_ceiling must be positive and jitter non-negative, "
+                         f"got {cond_ceiling!r} and {jitter!r}")
     p = task.basis.n_terms
     if task.n_samples < p:
         raise CalibrationError(

@@ -15,8 +15,10 @@ configuration and any subset of trials can be recomputed independently.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import CalibrationError, NumericError
 from .gaussian import CalibrationTask, likelihood
 from .models import GenerativeModel
 from .predict import PfpPrediction, lpfp, pushforward, rmse
-from .transfer import TransferProblem, optimize_beta, tempered_posterior
+from .transfer import OBJECTIVES, TransferProblem, optimize_beta, tempered_posterior
 
 SAMPLERS = ("uniform", "latin-hypercube")
 
@@ -110,18 +112,25 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_source", "n_target", "n_val", "n_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be non-negative")
-        if self.likelihood_noise_sd is not None and self.likelihood_noise_sd <= 0:
-            raise ValueError("likelihood_noise_sd must be positive when given")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low=1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if not isinstance(self.degrees, (list, tuple)) or not self.degrees:
+            raise ValueError(f"degrees must be a non-empty list, got {self.degrees!r}")
+        object.__setattr__(self, "degrees",
+                           tuple(_integer("every degree", d, low=0) for d in self.degrees))
+        for name in ("noise_sd", "lpfp_noise_var"):
+            value = getattr(self, name)
+            if not _real(value) or value < 0:
+                raise ValueError(f"{name} must be a non-negative number, got {value!r}")
+        sd = self.likelihood_noise_sd
+        if sd is not None and not (_real(sd) and sd > 0):
+            raise ValueError(f"likelihood_noise_sd must be a positive number or null, got {sd!r}")
+        if not isinstance(self.objective, str) or self.objective.upper() not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.objective!r}; choose from {OBJECTIVES}")
         if self.sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+            raise ValueError(f"unknown sampler {self.sampler!r}; choose from {SAMPLERS}")
         if self.shift_mode not in ("target-box", "model-param"):
             raise ValueError(f"unknown shift_mode {self.shift_mode!r}")
-        if not self.degrees:
-            raise ValueError("at least one surrogate degree is required")
         dim = self.model.dimension
         for d in self.degrees:
             for name in ("n_source", "n_target"):
@@ -162,29 +171,26 @@ class ExperimentConfig:
         return sd**2 if sd > 0 else None
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.name,
-            "model_parameters": dict(self.model.parameters),
-            "source_box": {"lower": self.source_box.lower.tolist(),
-                           "upper": self.source_box.upper.tolist()},
-            "target_box": {"lower": self.target_box.lower.tolist(),
-                           "upper": self.target_box.upper.tolist()},
-            "degrees": list(self.degrees),
-            "n_source": self.n_source,
-            "n_target": self.n_target,
-            "n_val": self.n_val,
-            "n_trials": self.n_trials,
-            "noise_sd": self.noise_sd,
-            "sampler": self.sampler,
-            "objective": self.objective,
-            "seed": self.seed,
-            "shift_mode": self.shift_mode,
-            "shift_axis": self.shift_axis,
-            "shift_param": self.shift_param,
-            "shift": self.shift,
-            "lpfp_noise_var": self.lpfp_noise_var,
-            "likelihood_noise_sd": self.likelihood_noise_sd,
-        }
+        """Every field as JSON-ready values; the model is its name and parameters."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("source_box", "target_box"):
+            out[name] = {"lower": out[name].lower.tolist(), "upper": out[name].upper.tolist()}
+        out.update(model=self.model.name, model_parameters=dict(self.model.parameters),
+                   degrees=list(self.degrees))
+        return out
+
+
+def _integer(name: str, value, low: float = -math.inf) -> int:
+    """value as a Python int; bools, floats, strings and values below low are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)

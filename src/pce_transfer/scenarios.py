@@ -1,14 +1,19 @@
 """Shipped study configurations for the three reproduction scenarios.
 
-Constants live here so the CLI and the acceptance suite run the same
-studies.  Two noise scales appear in every scenario: `noise_sd` is
-the injected observation noise, while `likelihood_noise_sd` is the noise
-scale assumed by the likelihood covariances.  The assumed scale deliberately
-dominates the injected one (it acts as a trust level on each task's fitted
-coefficients, absorbing surrogate structural error), which is what lets
-in-span agreement between tasks register as full transfer.  LPFP scores add the
-assumed noise variance to the predictive marginals so near-interpolating fits
-are scored on a finite density.
+Each scenario function returns its shipped constants as a base
+`ExperimentConfig` plus its shift list, so the CLI and the acceptance suite
+run the same studies.  Study settings change through `dataclasses.replace`
+on the returned config, which `ExperimentConfig` validates; the CLI applies
+every `--set` override to every scenario that way.
+
+Two noise scales appear in every scenario: `noise_sd` is the injected
+observation noise, while `likelihood_noise_sd` is the noise scale assumed by
+the likelihood covariances.  The assumed scale deliberately dominates the
+injected one (it acts as a trust level on each task's fitted coefficients,
+absorbing surrogate structural error), which is what lets in-span agreement
+between tasks register as full transfer.  LPFP scores add the assumed noise
+variance to the predictive marginals so near-interpolating fits are scored on
+a finite density.
 """
 
 from __future__ import annotations
@@ -36,29 +41,24 @@ CUBIC_LIKELIHOOD_NOISE_SD = 0.1
 CUBIC_BAND_TARGETS = {"A": 2.5, "B": 0.8, "C": 0.4, "D": 0.0}
 
 
-def cubic_scenario(n_trials: int = 100, seed: int = DEFAULT_SEED,
-                   objective: str = "EDF",
-                   degrees: tuple[int, ...] = (1, 2, 3),
-                   noise_sd: float = CUBIC_NOISE_SD) -> tuple[ExperimentConfig, tuple]:
-    cfg = ExperimentConfig(
+def cubic_scenario() -> tuple[ExperimentConfig, tuple]:
+    return ExperimentConfig(
         model=cubic_model(),
         source_box=CUBIC_SOURCE_BOX,
         target_box=CUBIC_TARGET_BASE_BOX,
-        degrees=degrees,
+        degrees=(1, 2, 3),
         n_source=16,
         n_target=4,
         n_val=100,
-        n_trials=n_trials,
-        noise_sd=noise_sd,
+        n_trials=100,
+        noise_sd=CUBIC_NOISE_SD,
         sampler="latin-hypercube",
-        objective=objective,
-        seed=seed,
+        objective="EDF",
+        seed=DEFAULT_SEED,
         shift_mode="target-box",
-        shift_axis=0,
         likelihood_noise_sd=CUBIC_LIKELIHOOD_NOISE_SD,
         lpfp_noise_var=CUBIC_LIKELIHOOD_NOISE_SD**2,
-    )
-    return cfg, CUBIC_SHIFTS
+    ), CUBIC_SHIFTS
 
 
 # --- Ishigami task adaptation ------------------------------------------------
@@ -73,10 +73,8 @@ ISHIGAMI_NOISE_SD = 0.01
 ISHIGAMI_LIKELIHOOD_NOISE_SD = 0.1
 
 
-def ishigami_scenario(n_trials: int = 100, seed: int = DEFAULT_SEED,
-                      objective: str = "EDF",
-                      noise_sd: float = ISHIGAMI_NOISE_SD) -> tuple[ExperimentConfig, tuple]:
-    cfg = ExperimentConfig(
+def ishigami_scenario() -> tuple[ExperimentConfig, tuple]:
+    return ExperimentConfig(
         model=ishigami_model(theta=0.0),
         source_box=ISHIGAMI_BOX,
         target_box=ISHIGAMI_BOX,
@@ -84,17 +82,15 @@ def ishigami_scenario(n_trials: int = 100, seed: int = DEFAULT_SEED,
         n_source=40,
         n_target=11,
         n_val=1000,
-        n_trials=n_trials,
-        noise_sd=noise_sd,
+        n_trials=100,
+        noise_sd=ISHIGAMI_NOISE_SD,
         sampler="latin-hypercube",
-        objective=objective,
-        seed=seed,
+        objective="EDF",
+        seed=DEFAULT_SEED,
         shift_mode="model-param",
-        shift_param="theta",
         likelihood_noise_sd=ISHIGAMI_LIKELIHOOD_NOISE_SD,
         lpfp_noise_var=ISHIGAMI_LIKELIHOOD_NOISE_SD**2,
-    )
-    return cfg, ISHIGAMI_SHIFTS
+    ), ISHIGAMI_SHIFTS
 
 
 # --- Synthetic subsurface domain adaptation ----------------------------------
@@ -113,13 +109,11 @@ SUBSURFACE_NOISE_SD = 0.01
 SUBSURFACE_LIKELIHOOD_NOISE_SD = 0.05
 
 
-def subsurface_scenario(sweep_param: str = "z2", n_trials: int = 50,
-                        seed: int = DEFAULT_SEED, objective: str = "EDF",
-                        noise_sd: float = SUBSURFACE_NOISE_SD) -> tuple[ExperimentConfig, tuple]:
+def subsurface_scenario(sweep_param: str = "z2") -> tuple[ExperimentConfig, tuple]:
     if sweep_param not in SUBSURFACE_SWEEPS:
         raise ValueError(f"sweep_param must be one of {tuple(SUBSURFACE_SWEEPS)}")
     plan = SUBSURFACE_SWEEPS[sweep_param]
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         model=subsurface_model(),
         source_box=SUBSURFACE_SOURCE_BOX,
         target_box=SUBSURFACE_SOURCE_BOX,
@@ -127,14 +121,13 @@ def subsurface_scenario(sweep_param: str = "z2", n_trials: int = 50,
         n_source=200,
         n_target=57,
         n_val=500,
-        n_trials=n_trials,
-        noise_sd=noise_sd,
+        n_trials=50,
+        noise_sd=SUBSURFACE_NOISE_SD,
         sampler="uniform",
-        objective=objective,
-        seed=seed,
+        objective="EDF",
+        seed=DEFAULT_SEED,
         shift_mode="target-box",
         shift_axis=plan["axis"],
         likelihood_noise_sd=SUBSURFACE_LIKELIHOOD_NOISE_SD,
         lpfp_noise_var=SUBSURFACE_LIKELIHOOD_NOISE_SD**2,
-    )
-    return cfg, plan["shifts"]
+    ), plan["shifts"]

@@ -203,3 +203,16 @@ class TestBasisSpecConfig:
         assert again.n_terms == spec.n_terms
         np.testing.assert_array_equal(again.box.lower, spec.box.lower)
         np.testing.assert_array_equal(again.index_set.indices, spec.index_set.indices)
+
+    @pytest.mark.parametrize("key,value", [
+        ("degree", 1.5), ("degree", 2.0), ("degree", True), ("degree", "3"), ("degree", -1),
+        ("dimension", 1.0), ("dimension", "1"),
+    ])
+    def test_non_integer_settings_rejected(self, key, value):
+        cfg = {"dimension": 1, "degree": 3, "lower": [-0.2], "upper": [0.3], key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a non-negative integer"):
+            BasisSpec.from_config(cfg)
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = {"dimension": np.int64(1), "degree": np.int32(2), "lower": [0.0], "upper": [1.0]}
+        assert BasisSpec.from_config(cfg).n_terms == 3

@@ -92,6 +92,22 @@ class TestFit:
                                  extra=["--set", "mystery=1"]))
         assert code == 2
 
+    @pytest.mark.parametrize("setting", [
+        'noise_var="x"', "noise_var=[1]", "noise_var=true", "degree=1.5", "degree=true",
+        "dimension=2",
+        'lower="a"', "lower=[[0.0],[1.0,2.0]]", 'cond_ceiling="x"', 'jitter="x"',
+    ])
+    def test_schema_errors_exit_2_without_output(self, cubic_dataset, tmp_path, setting):
+        out = tmp_path / "out"
+        assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", setting])) == 2
+        assert not out.exists()
+
+    def test_negative_jitter_is_rejected(self, cubic_dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", "jitter=-1"])) == 1
+        assert "jitter non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTransfer:
     def make_artifact(self, cubic_dataset, out):
@@ -139,6 +155,35 @@ class TestTransfer:
         code = run_cli("transfer", "--out", str(out),
                        "--set", f"source={art}", "--set", f"target={art}",
                        "--set", "objective=ME", "--set", setting)
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"posterior": {"mean": [0]}},
+        {"posterior": {"dim": 1, "mean": [0.0]}},
+        {"posterior": {"dim": 2, "mean": [0.0], "cov": [1.0, 0.0, 0.0, 1.0]}},
+        {"posterior": {"dim": 2, "mean": [0.0, 0.0], "cov": [1.0]}},
+        {"posterior": {"dim": "x", "mean": [0.0], "cov": [1.0]}},
+        {"posterior": 5},
+        [1, 2],
+    ])
+    def test_malformed_artifact_exits_2(self, cubic_dataset, tmp_path, payload):
+        art = self.make_artifact(cubic_dataset, tmp_path / "fit")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "tr"
+        code = run_cli("transfer", "--out", str(out),
+                       "--set", f"source={bad}", "--set", f"target={art}",
+                       "--set", "objective=EDF")
+        assert code == 2
+        assert not out.exists()
+
+    def test_unknown_objective_exits_2(self, cubic_dataset, tmp_path):
+        art = self.make_artifact(cubic_dataset, tmp_path / "fit")
+        out = tmp_path / "tr"
+        code = run_cli("transfer", "--out", str(out),
+                       "--set", f"source={art}", "--set", f"target={art}",
+                       "--set", "objective=foo")
         assert code == 2
         assert not out.exists()
 
@@ -238,9 +283,48 @@ class TestRepro:
         assert (out1 / "trials_d1.csv").read_bytes() == (out2 / "trials_d1.csv").read_bytes()
 
 
+REJECTED_SWEEP_SETTINGS = [
+    "degrees=1", "degrees=[]", "degrees=[1.5]", "degrees=[-1]",
+    "n_trials=0", "n_trials=1.5", "n_trials=true", 'seed="x"', "n_val=0",
+    "n_source=3", "objective=FOO", 'noise_sd="x"', "lpfp_noise_var=-1",
+    "likelihood_noise_sd=0", "sampler=sobol",
+    'shifts=["a"]', "shifts=[true]", "shifts=[NaN]", "shifts=[1e400]", "shifts=0.5",
+    "sweep_param=z2", "bands=1", 'bands="yes"',
+]
+
+
 class TestSweepCommand:
     def test_generic_sweep_requires_scenario(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("command", ["repro-cubic", "repro-ishigami"])
+    @pytest.mark.parametrize("setting", REJECTED_SWEEP_SETTINGS)
+    def test_rejected_setting_exits_2_without_output(self, tmp_path, capsys, command,
+                                                      setting):
+        out = tmp_path / "run"
+        code = run_cli(command, "--out", str(out), "--set", "n_trials=1",
+                       "--set", "shifts=[0.0]", "--set", setting)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_bands_outside_cubic_exits_2(self, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli("repro-ishigami", "--out", str(out), "--set", "n_trials=1",
+                       "--set", "shifts=[0.0]", "--set", "bands=true")
+        assert code == 2
+        assert not out.exists()
+
+    def test_ishigami_applies_degrees_override(self, tmp_path):
+        out = tmp_path / "ish"
+        code = run_cli("repro-ishigami", "--out", str(out), "--set", "n_trials=1",
+                       "--set", "shifts=[0.0]", "--set", "n_val=20",
+                       "--set", "degrees=[2]")
+        assert code == 0
+        assert (out / "trials_d2.csv").exists()
+        assert not (out / "trials_d3.csv").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary["sweeps"]["default"]["degrees"]) == ["2"]
 
     def test_empty_shift_list_exits_2(self, tmp_path):
         out = tmp_path / "empty"
@@ -273,6 +357,14 @@ class TestSweepCommand:
         for col in ("beta_star_mean", "rmse_b0_mean", "rmse_bstar_mean",
                     "rmse_b1_mean"):
             assert len(table[col]) == 2
+
+    @pytest.mark.parametrize("param", ["z3", '["z2"]', "null"])
+    def test_unknown_subsurface_sweep_param_exits_2(self, tmp_path, param):
+        out = tmp_path / "sub"
+        code = run_cli("repro-subsurface-synthetic", "--out", str(out),
+                       "--set", f"sweep_param={param}", "--set", "n_trials=1")
+        assert code == 2
+        assert not out.exists()
 
     def test_subsurface_single_param_layout(self, tmp_path):
         out = tmp_path / "sub"

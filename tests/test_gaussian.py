@@ -114,6 +114,25 @@ class TestLikelihood:
         with pytest.raises(CalibrationError, match="condition number"):
             likelihood(task)
 
+    @pytest.mark.parametrize("settings", [
+        {"jitter": -1.0}, {"jitter": float("nan")},
+        {"cond_ceiling": -1.0}, {"cond_ceiling": float("nan")},
+    ])
+    def test_settings_that_would_drop_the_ceiling_rejected(self, settings):
+        # Without the check, a negative or NaN jitter skipped both the
+        # condition-number ceiling and the ridge, fitting this design unguarded.
+        spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 3)
+        X = np.array([[0.5], [0.5], [0.5], [0.500000001], [0.5000000005]])
+        task = CalibrationTask(spec, X, np.zeros(5), noise_var=1.0)
+        with pytest.raises(ValueError, match="cond_ceiling must be positive and jitter"):
+            likelihood(task, **settings)
+
+    @pytest.mark.parametrize("noise_var", ["x", [1.0], True, 0.0, -1.0, float("nan")])
+    def test_malformed_noise_var_rejected(self, noise_var):
+        spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            CalibrationTask(spec, np.array([[0.1], [0.5]]), np.zeros(2), noise_var=noise_var)
+
     def test_jitter_opt_in_allows_degenerate_fit(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 3)
         X = np.array([[0.5], [0.5], [0.5], [0.500000001], [0.5000000005]])

@@ -1,6 +1,7 @@
 """Tests for sampling, trials, shifts, aggregates, and band exports."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from pce_transfer.transfer import TransferProblem, optimize_beta
 
 
 def small_cubic_cfg(**overrides):
-    cfg, _ = cubic_scenario(n_trials=3)
-    base = dict(degrees=(3,), n_val=30)
+    cfg, _ = cubic_scenario()
+    base = dict(n_trials=3, degrees=(3,), n_val=30)
     base.update(overrides)
     return dataclasses.replace(cfg, **base)
 
@@ -99,7 +100,7 @@ class TestExperimentConfig:
         np.testing.assert_allclose(cfg.target_box.upper, [1.75])
 
     def test_model_param_shift_changes_target_model_only(self):
-        cfg, _ = ishigami_scenario(n_trials=1)
+        cfg = dataclasses.replace(ishigami_scenario()[0], n_trials=1)
         shifted = cfg.with_shift(0.75)
         assert shifted.model.parameters["theta"] == 0.0
         assert shifted.target_model().parameters["theta"] == 0.75
@@ -116,6 +117,58 @@ class TestExperimentConfig:
         assert d["model"] == "cubic"
         assert d["degrees"] == [3]
         assert d["likelihood_noise_sd"] == cfg.likelihood_noise_sd
+
+    def test_config_dict_covers_every_field(self):
+        d = small_cubic_cfg().to_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(ExperimentConfig)} | {
+            "model_parameters"}
+        assert d["source_box"] == {"lower": [-0.2], "upper": [0.3]}
+        json.dumps(d)
+
+    def test_numpy_integers_become_python_ints(self):
+        cfg = small_cubic_cfg(n_trials=np.int64(2), seed=np.int32(0), n_val=np.uint8(7),
+                              degrees=[np.int64(1), 3])
+        assert (cfg.n_trials, cfg.seed, cfg.n_val, cfg.degrees) == (2, 0, 7, (1, 3))
+        assert all(type(v) is int for v in (cfg.n_trials, cfg.seed, cfg.n_val, *cfg.degrees))
+        json.dumps(cfg.to_dict())
+
+    def test_seed_zero_and_negative_seeds_accepted(self):
+        assert small_cubic_cfg(seed=0).seed == 0
+        assert small_cubic_cfg(seed=-3).seed == -3
+
+    @pytest.mark.parametrize("name", ["n_trials", "n_val", "n_source", "n_target", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 2.0, 1.5, "3", None, [2]])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_cubic_cfg(**{name: value})
+
+    @pytest.mark.parametrize("name", ["n_trials", "n_val"])
+    def test_zero_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            small_cubic_cfg(**{name: 0})
+
+    @pytest.mark.parametrize("degrees", [3, "3", None, [], (), [1.0], [True], [-1]])
+    def test_malformed_degrees_rejected(self, degrees):
+        with pytest.raises(ValueError, match="degree"):
+            small_cubic_cfg(degrees=degrees)
+
+    def test_degree_list_stored_as_tuple(self):
+        assert small_cubic_cfg(degrees=[1, 3]).degrees == (1, 3)
+
+    @pytest.mark.parametrize("objective", ["FOO", "", 1, None])
+    def test_unknown_objective_rejected(self, objective):
+        with pytest.raises(ValueError, match="unknown objective"):
+            small_cubic_cfg(objective=objective)
+
+    @pytest.mark.parametrize("name,value", [
+        ("noise_sd", -0.1), ("noise_sd", "x"), ("noise_sd", float("nan")), ("noise_sd", True),
+        ("lpfp_noise_var", -1.0), ("lpfp_noise_var", float("inf")),
+        ("likelihood_noise_sd", 0.0), ("likelihood_noise_sd", "x"),
+        ("sampler", "sobol"),
+    ])
+    def test_malformed_noise_and_sampler_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            small_cubic_cfg(**{name: value})
 
 
 class TestRunTrial:
@@ -253,6 +306,6 @@ class TestBands:
         assert len(rows) == 3 * 17
 
     def test_multidimensional_scenario_rejected(self):
-        cfg, _ = ishigami_scenario(n_trials=1)
+        cfg = dataclasses.replace(ishigami_scenario()[0], n_trials=1)
         with pytest.raises(ValueError):
             pfp_bands(cfg, 0.0)
