@@ -29,6 +29,7 @@ from .gaussian import (
     DEFAULT_COND_CEILING,
     CalibrationTask,
     GaussianDist,
+    check_fit_settings,
     likelihood_with_report,
 )
 from .harness import (
@@ -154,7 +155,7 @@ def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Read a CSV of n input columns plus one output column.
 
     A single leading header row of non-numeric cells is tolerated; every
-    other row must be fully numeric with dimension + 1 columns.
+    other row must hold dimension + 1 finite numbers.
     """
     try:
         with open(path, newline="") as fh:
@@ -181,9 +182,12 @@ def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
                 f"dataset {path} row {i}: expected {dimension + 1} columns, got {len(row)}"
             )
         try:
-            data.append(parse(row))
+            values = parse(row)
         except ValueError as exc:
             raise UsageError(f"dataset {path} row {i}: non-numeric cell ({exc})") from exc
+        if not np.all(np.isfinite(values)):
+            raise UsageError(f"dataset {path} row {i}: non-finite cell in {row}")
+        data.append(values)
     if not data:
         raise UsageError(f"dataset {path} contains no data rows")
     arr = np.asarray(data)
@@ -200,6 +204,7 @@ def cmd_fit(cfg: dict, out_dir: Path) -> int:
         task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
         cond_ceiling = float(cfg.get("cond_ceiling", DEFAULT_COND_CEILING))
         jitter = float(cfg.get("jitter", 0.0))
+        check_fit_settings(cond_ceiling, jitter)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid fit config: {exc}") from exc
     dist, report = likelihood_with_report(task, cond_ceiling=cond_ceiling, jitter=jitter)

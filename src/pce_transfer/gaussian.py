@@ -4,7 +4,9 @@ A regression dataset with known Gaussian noise induces a Gaussian likelihood
 over the coefficient vector (mean = ordinary least squares, covariance =
 noise_var * (A^T A)^{-1}); Gaussian priors fuse with it by precision
 additivity.  All solves go through QR or Cholesky factors, never explicit
-inverses of the design matrix.
+inverses of the design matrix.  The linear algebra is numpy's alone
+(`numpy.linalg`, one BLAS per process): every solve against a triangular
+factor goes through `_solve_factor`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from .basis import BasisSpec, vandermonde
 from .errors import CalibrationError, NumericError
@@ -22,6 +23,15 @@ from .errors import CalibrationError, NumericError
 SYMMETRY_RTOL = 1e-12
 NOISE_VAR_FLOOR = 1e-12
 DEFAULT_COND_CEILING = 1e12
+
+
+def _solve_factor(F: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve F X = B for a triangular QR or Cholesky factor F.
+
+    numpy has no triangular solver, so every factor solve in the package is
+    LU on the factor, here; (L L^T)^-1 is assembled as L^-T L^-1.
+    """
+    return np.linalg.solve(F, B)
 
 
 @dataclass(frozen=True)
@@ -38,11 +48,13 @@ class GaussianDist:
             raise NumericError("covariance must be a square matrix")
         if mean.shape[0] != cov.shape[0]:
             raise NumericError("mean length does not match covariance order")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise NumericError("mean and covariance must be finite")
         scale = max(np.abs(cov).max(), 1e-300)
         if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale:
             raise NumericError("covariance is not symmetric within tolerance")
         try:
-            chol = cholesky(cov, lower=True)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"covariance is not positive definite: {exc}") from exc
         mean.flags.writeable = False
@@ -62,7 +74,8 @@ class GaussianDist:
 
     def precision(self) -> np.ndarray:
         """Inverse covariance, assembled from the Cholesky factor."""
-        p = cho_solve((self._chol, True), np.eye(self.dim))
+        L_inv = _solve_factor(self._chol, np.eye(self.dim))
+        p = L_inv.T @ L_inv
         return 0.5 * (p + p.T)
 
     def to_record(self) -> dict:
@@ -115,6 +128,13 @@ class CalibrationTask:
         return self.X.shape[0]
 
 
+def check_fit_settings(cond_ceiling: float, jitter: float):
+    """Reject a ceiling or jitter that would switch the conditioning guard off."""
+    if not (cond_ceiling > 0.0 and jitter >= 0.0):
+        raise ValueError("cond_ceiling must be positive and jitter non-negative, "
+                         f"got {cond_ceiling!r} and {jitter!r}")
+
+
 def likelihood_with_report(task: CalibrationTask,
                            cond_ceiling: float = DEFAULT_COND_CEILING,
                            jitter: float = 0.0) -> tuple[GaussianDist, dict]:
@@ -126,9 +146,7 @@ def likelihood_with_report(task: CalibrationTask,
     Ill-conditioning raises CalibrationError naming that condition number
     unless an explicit ridge `jitter` > 0 is opted into.
     """
-    if not (cond_ceiling > 0.0 and jitter >= 0.0):
-        raise ValueError("cond_ceiling must be positive and jitter non-negative, "
-                         f"got {cond_ceiling!r} and {jitter!r}")
+    check_fit_settings(cond_ceiling, jitter)
     p = task.basis.n_terms
     if task.n_samples < p:
         raise CalibrationError(
@@ -148,13 +166,13 @@ def likelihood_with_report(task: CalibrationTask,
         )
 
     if jitter > 0.0:
-        gram = A.T @ A + jitter * np.eye(p)
-        L = cholesky(gram, lower=True)
-        mean = cho_solve((L, True), A.T @ task.Y)
-        gram_inv = cho_solve((L, True), np.eye(p))
+        L = np.linalg.cholesky(A.T @ A + jitter * np.eye(p))
+        L_inv = _solve_factor(L, np.eye(p))
+        mean = L_inv.T @ (L_inv @ (A.T @ task.Y))
+        gram_inv = L_inv.T @ L_inv
     else:
-        mean = solve_triangular(R, Q.T @ task.Y)
-        Rinv = solve_triangular(R, np.eye(p))
+        mean = _solve_factor(R, Q.T @ task.Y)
+        Rinv = _solve_factor(R, np.eye(p))
         gram_inv = Rinv @ Rinv.T
 
     resid = task.Y - A @ mean
@@ -194,12 +212,13 @@ def fuse(prior: GaussianDist, lik: GaussianDist) -> GaussianDist:
     prec_lik = lik.precision()
     prec_post = prec_prior + prec_lik
     try:
-        L = cholesky(prec_post, lower=True)
+        L = np.linalg.cholesky(prec_post)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"summed precision lost positive definiteness: {exc}") from exc
-    cov = cho_solve((L, True), np.eye(prior.dim))
+    L_inv = _solve_factor(L, np.eye(prior.dim))
+    cov = L_inv.T @ L_inv
     cov = 0.5 * (cov + cov.T)
-    mean = cho_solve((L, True), prec_prior @ prior.mean + prec_lik @ lik.mean)
+    mean = L_inv.T @ (L_inv @ (prec_prior @ prior.mean + prec_lik @ lik.mean))
     return GaussianDist(mean=mean, cov=cov)
 
 
@@ -209,6 +228,6 @@ def log_pdf(dist: GaussianDist, theta: np.ndarray) -> float:
     if theta.size != dist.dim:
         raise ValueError(f"point has dimension {theta.size}, distribution has {dist.dim}")
     L = dist.chol
-    z = solve_triangular(L, theta - dist.mean, lower=True)
+    z = _solve_factor(L, theta - dist.mean)
     log_det = 2.0 * np.sum(np.log(np.diag(L)))
     return float(-0.5 * (dist.dim * np.log(2.0 * np.pi) + log_det + z @ z))

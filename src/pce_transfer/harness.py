@@ -118,6 +118,8 @@ class ExperimentConfig:
             raise ValueError(f"degrees must be a non-empty list, got {self.degrees!r}")
         object.__setattr__(self, "degrees",
                            tuple(_integer("every degree", d, low=0) for d in self.degrees))
+        if len(set(self.degrees)) != len(self.degrees):
+            raise ValueError(f"degrees must not repeat, got {list(self.degrees)}")
         for name in ("noise_sd", "lpfp_noise_var"):
             value = getattr(self, name)
             if not _real(value) or value < 0:

@@ -29,10 +29,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
 
 from .errors import DomainError, NumericError
-from .gaussian import GaussianDist, fuse
+from .gaussian import GaussianDist, _solve_factor, fuse
 
 OBJECTIVES = ("EDF", "KLD", "ME", "DS")
 
@@ -129,14 +128,16 @@ class _WhitenedScan:
         self.k = prob.target.dim
         L_t = prob.target.chol
         L_s = prob.source.chol
-        M = solve_triangular(L_s, L_t, lower=True)
+        M = _solve_factor(L_s, L_t)
         C = M.T @ M
-        w, U = eigh(0.5 * (C + C.T))
-        if np.any(w <= 0):
+        # Eigenvector signs are arbitrary and drop out: each objective reads w and
+        # squares of the whitened means' components, which flip sign together.
+        w, U = np.linalg.eigh(0.5 * (C + C.T))
+        if not np.all(w > 0):
             raise NumericError("relative precision spectrum lost positive definiteness")
         self.w = w
-        self.m_t = U.T @ solve_triangular(L_t, prob.target.mean, lower=True)
-        self.m_s = U.T @ solve_triangular(L_t, prob.source.mean, lower=True)
+        self.m_t = U.T @ _solve_factor(L_t, prob.target.mean)
+        self.m_s = U.T @ _solve_factor(L_t, prob.source.mean)
         self.logdet_t = 2.0 * np.sum(np.log(np.diag(L_t)))
         self.logdet_s = 2.0 * np.sum(np.log(np.diag(L_s)))
         self.log2pi = np.log(2.0 * np.pi)

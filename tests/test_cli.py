@@ -96,6 +96,7 @@ class TestFit:
         'noise_var="x"', "noise_var=[1]", "noise_var=true", "degree=1.5", "degree=true",
         "dimension=2",
         'lower="a"', "lower=[[0.0],[1.0,2.0]]", 'cond_ceiling="x"', 'jitter="x"',
+        "cond_ceiling=0", "jitter=-1",
     ])
     def test_schema_errors_exit_2_without_output(self, cubic_dataset, tmp_path, setting):
         out = tmp_path / "out"
@@ -104,8 +105,20 @@ class TestFit:
 
     def test_negative_jitter_is_rejected(self, cubic_dataset, tmp_path, capsys):
         out = tmp_path / "out"
-        assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", "jitter=-1"])) == 1
+        assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", "jitter=-1"])) == 2
         assert "jitter non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2_naming_the_row(self, tmp_path, capsys, cell):
+        X = np.linspace(-0.2, 0.3, 5)
+        Y = [str(v) for v in cubic_truth(X)]
+        Y[1] = cell
+        data = tmp_path / "data.csv"
+        write_dataset(data, X, Y, header=["x", "y"])
+        out = tmp_path / "out"
+        assert run_cli(*fit_args(data, out, degree=1)) == 2
+        assert "row 3: non-finite cell" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -166,6 +179,8 @@ class TestTransfer:
         {"posterior": {"dim": "x", "mean": [0.0], "cov": [1.0]}},
         {"posterior": 5},
         [1, 2],
+        {"posterior": {"dim": 1, "mean": [float("nan")], "cov": [1.0]}},
+        {"posterior": {"dim": 1, "mean": [0.0], "cov": [float("inf")]}},
     ])
     def test_malformed_artifact_exits_2(self, cubic_dataset, tmp_path, payload):
         art = self.make_artifact(cubic_dataset, tmp_path / "fit")
@@ -210,6 +225,28 @@ def tiny_repro_args(out, extra=()):
 
 
 class TestRepro:
+    def test_run_never_imports_scipy(self, tmp_path):
+        # numpy is the only run-time numeric dependency: one BLAS per process.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pce_transfer
+
+        code = (
+            "import sys\n"
+            "from pce_transfer.cli import main\n"
+            f"assert main(['repro-cubic', '--out', {str(tmp_path / 'run')!r}, "
+            "'--set', 'n_trials=1', '--set', 'shifts=[0.0]']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(pce_transfer.__file__).resolve().parents[1])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_smoke_run_emits_all_files(self, tmp_path):
         import time
 
@@ -284,7 +321,7 @@ class TestRepro:
 
 
 REJECTED_SWEEP_SETTINGS = [
-    "degrees=1", "degrees=[]", "degrees=[1.5]", "degrees=[-1]",
+    "degrees=1", "degrees=[]", "degrees=[1.5]", "degrees=[-1]", "degrees=[1,1]",
     "n_trials=0", "n_trials=1.5", "n_trials=true", 'seed="x"', "n_val=0",
     "n_source=3", "objective=FOO", 'noise_sd="x"', "lpfp_noise_var=-1",
     "likelihood_noise_sd=0", "sampler=sobol",

@@ -56,6 +56,18 @@ class TestGaussianDist:
         with pytest.raises(NumericError):
             GaussianDist(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("where,value", [
+        ("mean", np.nan), ("mean", np.inf), ("cov", np.nan), ("cov", -np.inf),
+    ])
+    def test_rejects_non_finite_entries(self, where, value):
+        mean, cov = np.zeros(2), np.eye(2)
+        if where == "mean":
+            mean[1] = value
+        else:
+            cov[1, 1] = value
+        with pytest.raises(NumericError, match="finite"):
+            GaussianDist(mean, cov)
+
     def test_record_round_trip(self):
         rng = np.random.default_rng(0)
         d = rand_gaussian(rng, 4)
@@ -140,6 +152,19 @@ class TestLikelihood:
         lik = likelihood(task, jitter=1e-6)
         assert np.all(np.isfinite(lik.cov))
 
+    def test_jitter_fit_is_the_ridge_solution(self):
+        from pce_transfer.basis import vandermonde
+
+        rng = np.random.default_rng(3)
+        spec = BasisSpec.total_order(DomainBox(np.zeros(2), np.ones(2)), 3)
+        X = rng.uniform(0, 1, size=(30, 2))
+        Y = rng.normal(size=30)
+        lik = likelihood(CalibrationTask(spec, X, Y, noise_var=0.5), jitter=0.1)
+        A = vandermonde(spec, X)
+        gram = A.T @ A + 0.1 * np.eye(spec.n_terms)
+        np.testing.assert_allclose(lik.mean, np.linalg.solve(gram, A.T @ Y), rtol=1e-10)
+        np.testing.assert_allclose(lik.cov, 0.5 * np.linalg.inv(gram), rtol=1e-10, atol=1e-14)
+
     @pytest.mark.parametrize("n_samples", [57, 200])
     def test_condition_number_matches_design_svd(self, n_samples):
         # Subsurface sizes: 5 inputs at degree 3 give 56 coefficients.
@@ -155,6 +180,26 @@ class TestLikelihood:
         _, report = likelihood_with_report(task)
         s = np.linalg.svd(vandermonde(spec, X), compute_uv=False)
         assert report["condition_number"] == pytest.approx((s[0] / s[-1]) ** 2, rel=1e-8)
+
+    def test_near_ceiling_fit_with_56_coefficients_matches_oracles(self):
+        # Inputs packed into 2.6% of each side of the box put the normal
+        # equations' condition number just under the 1e12 ceiling.  Measured
+        # agreement: mean 1.7e-14 and covariance 2.6e-8 relative (the
+        # covariance oracle inverts A^T A itself, losing about cond * eps).
+        from pce_transfer.basis import vandermonde
+
+        rng = np.random.default_rng(0)
+        spec = BasisSpec.total_order(DomainBox(np.zeros(5), np.ones(5)), 3)
+        assert spec.n_terms == 56
+        X = 0.5 + 0.013 * rng.uniform(-1.0, 1.0, size=(200, 5))
+        Y = rng.normal(size=200)
+        dist, report = likelihood_with_report(CalibrationTask(spec, X, Y, noise_var=0.01))
+        assert 1e11 < report["condition_number"] < 1e12
+        A = vandermonde(spec, X)
+        mean = np.linalg.lstsq(A, Y, rcond=None)[0]
+        cov = 0.01 * np.linalg.pinv(A.T @ A)
+        assert np.linalg.norm(dist.mean - mean) <= 1e-12 * np.linalg.norm(mean)
+        assert np.linalg.norm(dist.cov - cov) <= 1e-6 * np.linalg.norm(cov)
 
     def test_noise_var_estimated_when_absent(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 0)

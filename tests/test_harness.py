@@ -147,7 +147,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
             small_cubic_cfg(**{name: 0})
 
-    @pytest.mark.parametrize("degrees", [3, "3", None, [], (), [1.0], [True], [-1]])
+    @pytest.mark.parametrize("degrees", [3, "3", None, [], (), [1.0], [True], [-1], [1, 3, 1]])
     def test_malformed_degrees_rejected(self, degrees):
         with pytest.raises(ValueError, match="degree"):
             small_cubic_cfg(degrees=degrees)
