@@ -18,10 +18,8 @@ from .errors import CalibrationError, DomainError, NumericError
 from .gaussian import (
     CalibrationTask,
     GaussianDist,
-    fuse,
     likelihood,
     likelihood_with_report,
-    log_pdf,
 )
 from .harness import (
     ExperimentConfig,
@@ -41,10 +39,11 @@ from .models import (
     subsurface_model,
     synthetic_subsurface,
 )
-from .predict import PfpPrediction, correlation_matrix, lpfp, pushforward, rmse
+from .predict import Design, PfpPrediction, correlation_matrix, lpfp, pushforward, rmse
 from .transfer import (
     BetaResult,
     TransferProblem,
+    fuse,
     objective_value,
     optimize_beta,
     temper,

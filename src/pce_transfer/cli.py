@@ -293,11 +293,15 @@ def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
         raise UsageError(f"shifts must be a non-empty list of finite numbers, got {shifts!r}")
     overrides = {key: cfg[key] for key in EXPERIMENT_KEYS if key in cfg}
     try:
-        return [(tag, dataclasses.replace(exp_cfg, **overrides),
-                 tuple(map(float, shifts or default_shifts)))
-                for tag, exp_cfg, default_shifts in scenarios]
+        resolved = [(tag, dataclasses.replace(exp_cfg, **overrides),
+                     tuple(map(float, shifts or default_shifts)))
+                    for tag, exp_cfg, default_shifts in scenarios]
+        for _, exp_cfg, sweep_shifts in resolved:
+            for shift in sweep_shifts:
+                exp_cfg.with_shift(shift)  # checks the shifted boxes against the model
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return resolved
 
 
 def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> int:

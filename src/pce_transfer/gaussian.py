@@ -2,11 +2,12 @@
 
 A regression dataset with known Gaussian noise induces a Gaussian likelihood
 over the coefficient vector (mean = ordinary least squares, covariance =
-noise_var * (A^T A)^{-1}); Gaussian priors fuse with it by precision
-additivity.  All solves go through QR or Cholesky factors, never explicit
-inverses of the design matrix.  The linear algebra is numpy's alone
-(`numpy.linalg`, one BLAS per process): every solve against a triangular
-factor goes through `_solve_factor`.
+noise_var * (A^T A)^{-1}).  Fusing Gaussians (the conjugate update) lives in
+`transfer`, where it is the beta = 1 case of the tempered posterior.  All
+solves go through QR or Cholesky factors, never explicit inverses of the
+design matrix.  The linear algebra is numpy's alone (`numpy.linalg`, one BLAS
+per process): every solve against a triangular factor goes through
+`_solve_factor`.
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ class GaussianDist:
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the covariance (cached at construction)."""
         return self._chol
-
-    def precision(self) -> np.ndarray:
-        """Inverse covariance, assembled from the Cholesky factor."""
-        L_inv = _solve_factor(self._chol, np.eye(self.dim))
-        p = L_inv.T @ L_inv
-        return 0.5 * (p + p.T)
 
     def to_record(self) -> dict:
         """Flat numeric record (mean, row-major covariance) for JSON output."""
@@ -198,36 +193,3 @@ def likelihood(task: CalibrationTask,
                jitter: float = 0.0) -> GaussianDist:
     """Gaussian likelihood over coefficients from a regression dataset."""
     return likelihood_with_report(task, cond_ceiling=cond_ceiling, jitter=jitter)[0]
-
-
-def fuse(prior: GaussianDist, lik: GaussianDist) -> GaussianDist:
-    """Product of two Gaussians, renormalized: precisions add.
-
-    cov_post^{-1} = cov_prior^{-1} + cov_lik^{-1};
-    mean_post = cov_post (cov_prior^{-1} mean_prior + cov_lik^{-1} mean_lik).
-    """
-    if prior.dim != lik.dim:
-        raise NumericError(f"dimension mismatch: {prior.dim} vs {lik.dim}")
-    prec_prior = prior.precision()
-    prec_lik = lik.precision()
-    prec_post = prec_prior + prec_lik
-    try:
-        L = np.linalg.cholesky(prec_post)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"summed precision lost positive definiteness: {exc}") from exc
-    L_inv = _solve_factor(L, np.eye(prior.dim))
-    cov = L_inv.T @ L_inv
-    cov = 0.5 * (cov + cov.T)
-    mean = L_inv.T @ (L_inv @ (prec_prior @ prior.mean + prec_lik @ lik.mean))
-    return GaussianDist(mean=mean, cov=cov)
-
-
-def log_pdf(dist: GaussianDist, theta: np.ndarray) -> float:
-    """Exact multivariate normal log-density via the cached Cholesky factor."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != dist.dim:
-        raise ValueError(f"point has dimension {theta.size}, distribution has {dist.dim}")
-    L = dist.chol
-    z = _solve_factor(L, theta - dist.mean)
-    log_det = 2.0 * np.sum(np.log(np.diag(L)))
-    return float(-0.5 * (dist.dim * np.log(2.0 * np.pi) + log_det + z @ z))

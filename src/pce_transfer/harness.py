@@ -26,7 +26,7 @@ from .basis import BasisSpec, DomainBox, n_pce
 from .errors import CalibrationError, NumericError
 from .gaussian import CalibrationTask, likelihood
 from .models import GenerativeModel
-from .predict import PfpPrediction, lpfp, pushforward, rmse
+from .predict import Design, PfpPrediction, lpfp, pushforward, rmse
 from .transfer import OBJECTIVES, TransferProblem, optimize_beta, tempered_posterior
 
 SAMPLERS = ("uniform", "latin-hypercube")
@@ -133,6 +133,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}; choose from {SAMPLERS}")
         if self.shift_mode not in ("target-box", "model-param"):
             raise ValueError(f"unknown shift_mode {self.shift_mode!r}")
+        domain, box = self.model.domain, self.reference_box()
+        if domain is not None and (np.any(box.lower < domain.lower)
+                                   or np.any(box.upper > domain.upper)):
+            raise ValueError(
+                f"source and target boxes span {box.lower.tolist()}..{box.upper.tolist()}, outside "
+                f"the {self.model.name} domain {domain.lower.tolist()}..{domain.upper.tolist()}"
+            )
         dim = self.model.dimension
         for d in self.degrees:
             for name in ("n_source", "n_target"):
@@ -266,7 +273,7 @@ def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int,
     """Fit both tasks at one degree, optimize beta, and predict at points.
 
     Returns beta* and the predictions at beta = 0 ("b0"), beta* ("bstar")
-    and beta = 1 ("b1"), in that order.
+    and beta = 1 ("b1"), in that order, all three from one design at points.
     """
     spec = BasisSpec.total_order(cfg.reference_box(), degree)
     noise_var = cfg.noise_var()
@@ -279,8 +286,9 @@ def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int,
         "bstar": result.tempered_posterior,
         "b1": tempered_posterior(prob, 1.0),
     }
+    design = Design(spec, points)
     return result.beta_star, {
-        tag: pushforward(post, spec, points, noise_var=cfg.lpfp_noise_var)
+        tag: pushforward(post, design, noise_var=cfg.lpfp_noise_var)
         for tag, post in posteriors.items()
     }
 

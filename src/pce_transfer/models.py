@@ -7,7 +7,7 @@ response over five layered-medium parameters; it is not a physics solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -70,6 +70,7 @@ class GenerativeModel:
     dimension: int
     fn: Callable[..., np.ndarray]
     parameters: dict = field(default_factory=dict)
+    domain: DomainBox | None = None  # admissible inputs; study boxes must stay inside
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -83,8 +84,7 @@ class GenerativeModel:
         return out
 
     def with_parameters(self, **updates) -> "GenerativeModel":
-        return GenerativeModel(self.name, self.dimension, self.fn,
-                               {**self.parameters, **updates})
+        return replace(self, parameters={**self.parameters, **updates})
 
 
 def _cubic_fn(pts):
@@ -108,4 +108,5 @@ def ishigami_model(theta: float = 0.0) -> GenerativeModel:
 
 
 def subsurface_model() -> GenerativeModel:
-    return GenerativeModel("subsurface-synthetic", 5, _subsurface_fn)
+    return GenerativeModel("subsurface-synthetic", 5, _subsurface_fn,
+                           domain=SUBSURFACE_ENVELOPE)

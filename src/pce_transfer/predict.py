@@ -3,15 +3,17 @@
 A Gaussian coefficient posterior pushed through the (linear) basis map gives
 a Gaussian over outputs at any set of evaluation points: mean = A mu,
 covariance = A Sigma A^T, optionally inflated by an observation-noise
-variance.  Every score here reads one point at a time, so a prediction keeps
-only the per-point marginal variances diag(A Sigma A^T), never the m x m
-covariance between points.  Scores are the summed per-point marginal
-log-densities of observed outputs and the plain RMSE of the mean surrogate.
+variance.  The design matrix A of a basis at a list of points is a `Design`,
+built once and shared by every posterior predicted there.  Every score here
+reads one point at a time, so a prediction keeps only the per-point marginal
+variances diag(A Sigma A^T), never the m x m covariance between points.
+Scores are the summed per-point marginal log-densities of observed outputs
+and the plain RMSE of the mean surrogate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,24 +48,36 @@ class PfpPrediction:
         object.__setattr__(self, "marginal_var", var)
 
 
-def pushforward(posterior: GaussianDist, basis: BasisSpec, points,
+@dataclass(frozen=True)
+class Design:
+    """The design matrix of a basis at a list of points, built once and shared."""
+
+    basis: BasisSpec
+    points: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
+        object.__setattr__(self, "matrix", vandermonde(self.basis, self.points))
+
+
+def pushforward(posterior: GaussianDist, design: Design,
                 noise_var: float = 0.0) -> PfpPrediction:
-    """Push a coefficient posterior through the basis map at the given points.
+    """Push a coefficient posterior through the basis map at a design's points.
 
     noise_var > 0 adds observation noise to every marginal variance; the
     default 0 scores the model alone.  The variances are the row sums of
     (A L)**2 for the posterior's Cholesky factor L, which cost O(m p) and
     cannot go negative by round-off.
     """
-    if posterior.dim != basis.n_terms:
+    A = design.matrix
+    if posterior.dim != A.shape[1]:
         raise ValueError(
-            f"posterior dimension {posterior.dim} does not match basis size {basis.n_terms}"
+            f"posterior dimension {posterior.dim} does not match basis size {A.shape[1]}"
         )
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    A = vandermonde(basis, pts)
     B = A @ posterior.chol
     var = np.einsum("ij,ij->i", B, B) + noise_var
-    return PfpPrediction(points=pts, mean=A @ posterior.mean, marginal_var=var)
+    return PfpPrediction(points=design.points, mean=A @ posterior.mean, marginal_var=var)
 
 
 def lpfp(pred: PfpPrediction, y_obs) -> float:

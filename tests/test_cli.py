@@ -403,6 +403,15 @@ class TestSweepCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_shift_outside_the_model_domain_exits_2_without_output(self, tmp_path, capsys):
+        # z2 spans [1, 2]; shifted by 5 it leaves the model's [0.5, 6] envelope.
+        out = tmp_path / "sub"
+        code = run_cli("repro-subsurface-synthetic", "--out", str(out),
+                       "--set", "sweep_param=z2", "--set", "shifts=[0.0,5.0]")
+        assert code == 2
+        assert "outside the subsurface-synthetic domain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_subsurface_single_param_layout(self, tmp_path):
         out = tmp_path / "sub"
         code = run_cli("sweep", "--out", str(out),

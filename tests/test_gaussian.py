@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from pce_transfer.basis import BasisSpec, DomainBox
 from pce_transfer.errors import CalibrationError, NumericError
+from oracles import log_pdf
 from pce_transfer.gaussian import (
     CalibrationTask,
     GaussianDist,
-    fuse,
     likelihood,
     likelihood_with_report,
-    log_pdf,
 )
+from pce_transfer.transfer import fuse
 
 
 def rand_spd(rng, k, scale=1.0):

@@ -22,8 +22,8 @@ from pce_transfer.harness import (
     trial_data,
 )
 from pce_transfer.models import cubic_model
-from pce_transfer.predict import lpfp, pushforward
-from pce_transfer.scenarios import cubic_scenario, ishigami_scenario
+from pce_transfer.predict import Design, lpfp, pushforward
+from pce_transfer.scenarios import cubic_scenario, ishigami_scenario, subsurface_scenario
 from pce_transfer.transfer import TransferProblem, optimize_beta
 
 
@@ -98,6 +98,12 @@ class TestExperimentConfig:
         assert cfg.shift == 1.5
         np.testing.assert_allclose(cfg.target_box.lower, [1.35])
         np.testing.assert_allclose(cfg.target_box.upper, [1.75])
+
+    def test_shift_outside_the_model_domain_rejected(self):
+        cfg, shifts = subsurface_scenario("z2")
+        cfg.with_shift(max(shifts))
+        with pytest.raises(ValueError, match="outside the subsurface-synthetic domain"):
+            cfg.with_shift(5.0)
 
     def test_model_param_shift_changes_target_model_only(self):
         cfg = dataclasses.replace(ishigami_scenario()[0], n_trials=1)
@@ -212,7 +218,7 @@ class TestRunTrial:
         tgt = likelihood(CalibrationTask(spec, data.X_target, data.y_target, nv))
         prob = TransferProblem(src, tgt, cfg.objective)
         res = optimize_beta(prob)
-        pred = pushforward(res.tempered_posterior, spec, data.X_val,
+        pred = pushforward(res.tempered_posterior, Design(spec, data.X_val),
                            noise_var=cfg.lpfp_noise_var)
         assert rec.beta_star == res.beta_star
         assert rec.lpfp_bstar == lpfp(pred, data.y_val)

@@ -8,6 +8,7 @@ from pce_transfer.errors import DomainError
 from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
 from pce_transfer.models import cubic_truth
 from pce_transfer.predict import (
+    Design,
     PfpPrediction,
     correlation_matrix,
     lpfp,
@@ -35,7 +36,7 @@ class TestPushforward:
     def test_degree_zero_single_point_is_posterior(self):
         spec = BasisSpec.total_order(UNIT_BOX, 0)
         post = GaussianDist(np.array([1.7]), np.array([[0.04]]))
-        pred = pushforward(post, spec, np.array([[0.2]]))
+        pred = pushforward(post, Design(spec, np.array([[0.2]])))
         assert pred.mean[0] == pytest.approx(1.7)
         assert pred.marginal_var[0] == pytest.approx(0.04)
 
@@ -43,7 +44,7 @@ class TestPushforward:
         rng = np.random.default_rng(0)
         spec = BasisSpec.total_order(UNIT_BOX, 2)
         post = GaussianDist(rng.normal(size=3), rand_spd(rng, 3, 0.1))
-        pred = pushforward(post, spec, np.array([[0.4], [0.4]]))
+        pred = pushforward(post, Design(spec, np.array([[0.4], [0.4]])))
         assert pred.mean[0] == pred.mean[1]
         assert pred.marginal_var[0] == pred.marginal_var[1]
 
@@ -52,7 +53,7 @@ class TestPushforward:
         spec = BasisSpec.total_order(UNIT_BOX, 3)
         post = GaussianDist(rng.normal(size=4), rand_spd(rng, 4, 0.3))
         points = np.linspace(-0.9, 0.9, 5).reshape(-1, 1)
-        pred = pushforward(post, spec, points)
+        pred = pushforward(post, Design(spec, points))
 
         draws = rng.multivariate_normal(post.mean, post.cov, size=1_000_000)
         A = vandermonde(spec, points)
@@ -65,8 +66,8 @@ class TestPushforward:
         spec = BasisSpec.total_order(UNIT_BOX, 1)
         post = GaussianDist(rng.normal(size=2), rand_spd(rng, 2))
         points = np.array([[-0.5], [0.5]])
-        plain = pushforward(post, spec, points)
-        noisy = pushforward(post, spec, points, noise_var=0.04)
+        plain = pushforward(post, Design(spec, points))
+        noisy = pushforward(post, Design(spec, points), noise_var=0.04)
         np.testing.assert_array_equal(noisy.mean, plain.mean)
         np.testing.assert_allclose(noisy.marginal_var - plain.marginal_var, 0.04, atol=1e-15)
 
@@ -76,8 +77,8 @@ class TestPushforward:
         post = GaussianDist(rng.normal(size=3), rand_spd(rng, 3))
         pts = np.array([[-0.7], [0.1], [0.8]])
         perm = np.array([2, 0, 1])
-        direct = pushforward(post, spec, pts[perm])
-        permuted = pushforward(post, spec, pts)
+        direct = pushforward(post, Design(spec, pts[perm]))
+        permuted = pushforward(post, Design(spec, pts))
         np.testing.assert_array_equal(direct.mean, permuted.mean[perm])
         np.testing.assert_array_equal(direct.marginal_var, permuted.marginal_var[perm])
 
@@ -85,7 +86,7 @@ class TestPushforward:
         spec = BasisSpec.total_order(UNIT_BOX, 2)
         post = GaussianDist(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError):
-            pushforward(post, spec, np.array([[0.0]]))
+            pushforward(post, Design(spec, np.array([[0.0]])))
 
     def test_marginals_at_many_points_match_dense_diagonal(self):
         # 1e5 points: the m x m covariance would need 80 GB, the marginals 0.8 MB.
@@ -95,7 +96,7 @@ class TestPushforward:
         assert spec.n_terms == 10
         post = GaussianDist(rng.normal(size=10), rand_spd(rng, 10, 0.2))
         points = rng.uniform(size=(100_000, 3))
-        pred = pushforward(post, spec, points)
+        pred = pushforward(post, Design(spec, points))
         A = vandermonde(spec, points)
         expected = np.einsum("ij,jk,ik->i", A, post.cov, A)
         assert np.all(np.isfinite(pred.marginal_var))
@@ -133,9 +134,9 @@ class TestLpfp:
         post = GaussianDist(rng.normal(size=3), rand_spd(rng, 3))
         pts = rng.uniform(-1, 1, size=(6, 1))
         y = rng.normal(size=6)
-        whole = lpfp(pushforward(post, spec, pts), y)
-        parts = lpfp(pushforward(post, spec, pts[:2]), y[:2]) + lpfp(
-            pushforward(post, spec, pts[2:]), y[2:]
+        whole = lpfp(pushforward(post, Design(spec, pts)), y)
+        parts = lpfp(pushforward(post, Design(spec, pts[:2])), y[:2]) + lpfp(
+            pushforward(post, Design(spec, pts[2:])), y[2:]
         )
         assert whole == pytest.approx(parts, rel=1e-12)
 
@@ -163,7 +164,7 @@ class TestRmse:
         Y = cubic_truth(X[:, 0])
         lik = likelihood(CalibrationTask(spec, X, Y, noise_var=1e-12))
         val = rng.uniform(-0.2, 0.3, size=(50, 1))
-        assert rmse(pushforward(lik, spec, val), cubic_truth(val[:, 0])) <= 1e-8
+        assert rmse(pushforward(lik, Design(spec, val)), cubic_truth(val[:, 0])) <= 1e-8
 
     def test_empty_points_rejected(self):
         empty = PfpPrediction(np.empty((0, 1)), np.empty(0), np.empty(0))

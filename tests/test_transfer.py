@@ -5,6 +5,8 @@ oracles: Monte-Carlo expectations for EDF and KLD, adaptive quadrature of
 the defining integrals for ME and DS, and the plain matrix forms of all four.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,18 +14,21 @@ from hypothesis import strategies as st
 
 from oracles import (
     direct_objective,
+    log_pdf,
     log_product_integral,
     mc_edf,
     mc_kld,
+    precision_sum_posterior,
     quad_product_integral,
     rand_problem,
     rand_spd,
 )
 from pce_transfer.errors import DomainError, NumericError
-from pce_transfer.gaussian import GaussianDist, fuse, log_pdf
+from pce_transfer.gaussian import GaussianDist
 from pce_transfer.predict import correlation_matrix
 from pce_transfer.transfer import (
     TransferProblem,
+    fuse,
     objective_value,
     optimize_beta,
     temper,
@@ -130,6 +135,55 @@ class TestTemperedPosterior:
         assert np.all(np.diff(widths) <= 1e-12)
 
 
+def ill_conditioned_cov(rng, k, cond, scale):
+    """Random-basis SPD covariance whose eigenvalues span `cond`."""
+    Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    cov = (Q * (scale * np.logspace(0.0, -np.log10(cond), k))) @ Q.T
+    return 0.5 * (cov + cov.T)
+
+
+class TestWhitenedFrame:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_posterior_matches_cholesky_oracle_at_condition_1e9(self, seed):
+        # p = 56 with covariances spanning nine decades, as the degree-3
+        # subsurface fits at R3 shift 10 do.
+        rng = np.random.default_rng(seed)
+        k = 56
+        source = GaussianDist(rng.normal(size=k), ill_conditioned_cov(rng, k, 1e9, 1e-2))
+        target = GaussianDist(source.mean + 0.1 * rng.normal(size=k),
+                              ill_conditioned_cov(rng, k, 1e9, 1e-3))
+        assert np.linalg.cond(source.cov) == pytest.approx(1e9, rel=0.01)
+        post = tempered_posterior(TransferProblem(source, target, "EDF"), 1.0)
+        mean, cov = precision_sum_posterior(source, target)
+        assert np.abs(post.mean - mean).max() <= 1e-9 * np.abs(mean).max()
+        assert np.abs(post.cov - cov).max() <= 1e-9 * np.abs(cov).max()
+
+    @pytest.mark.parametrize("source_var, target_var", [(1e-300, 1e300), (1e-320, 1e308)])
+    def test_overflowing_spectrum_is_numeric_error(self, source_var, target_var):
+        # The first pair overflows the spectrum w = sigma^2, the second already
+        # the whitened factor L_s^-1 L_t.
+        source = GaussianDist(np.zeros(2), source_var * np.eye(2))
+        target = GaussianDist(np.zeros(2), target_var * np.eye(2))
+        with pytest.raises(NumericError):
+            fuse(source, target)
+
+    def test_svd_failure_is_numeric_error(self, monkeypatch):
+        def no_convergence(*_args, **_kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        prob = rand_problem(np.random.default_rng(20), 3, "EDF")
+        with pytest.raises(NumericError):
+            optimize_beta(prob)
+
+    def test_frame_is_factorized_once_per_problem(self):
+        prob = rand_problem(np.random.default_rng(21), 4, "EDF")
+        frame = prob.frame
+        optimize_beta(prob)
+        tempered_posterior(prob, 1.0)
+        assert prob.frame is frame
+
+
 # ---------------------------------------------------------------------------
 # Objectives
 # ---------------------------------------------------------------------------
@@ -198,7 +252,10 @@ class TestObjectiveValues:
             prob = rand_problem(rng, k, objective)
             res = optimize_beta(prob)
             for i in np.linspace(0, len(res.betas) - 1, 6).astype(int):
-                assert objective_value(prob, res.betas[i]) == res.values[i], (k, i)
+                scanned = res.values[i]
+                if objective == "DS":  # scanned as log-DS
+                    scanned = math.exp(scanned)
+                assert objective_value(prob, res.betas[i]) == scanned, (k, i)
 
 
 class TestObjectiveOracles:
@@ -253,6 +310,17 @@ class TestOptimizeBeta:
         res = optimize_beta(TransferProblem(source, target, "EDF"))
         assert res.beta_star <= 0.05
 
+    def test_far_source_is_rejected_under_ds(self):
+        # DS itself underflows to 0.0 at every scan point here, which once
+        # broke the tie toward beta = 1; log-DS keeps the scan informative.
+        k = 56
+        source = GaussianDist(np.zeros(k), 1e-5 * np.eye(k))
+        target = GaussianDist(np.full(k, 20.0), 1e-5 * np.eye(k))
+        res = optimize_beta(TransferProblem(source, target, "DS"))
+        assert np.all(np.isfinite(res.values))
+        assert np.all(np.diff(res.values) < 0)
+        assert res.beta_star <= 1e-5
+
     def test_curve_is_bit_reproducible(self):
         rng = np.random.default_rng(14)
         prob = rand_problem(rng, 3, "KLD")
@@ -286,7 +354,10 @@ class TestOptimizeBeta:
         for objective in ("EDF", "KLD", "ME", "DS"):
             prob = rand_problem(rng, 2, objective)
             res = optimize_beta(prob)
-            assert objective_value(prob, res.beta_star) >= res.values.max() - 1e-9
+            best = objective_value(prob, res.beta_star)
+            if objective == "DS":  # scanned as log-DS
+                best = math.log(best)
+            assert best >= res.values.max() - 1e-9
 
     def test_record_serialization(self):
         rng = np.random.default_rng(18)
