@@ -39,14 +39,13 @@ from .models import (
     subsurface_model,
     synthetic_subsurface,
 )
-from .predict import Design, PfpPrediction, correlation_matrix, lpfp, pushforward, rmse
+from .predict import Design, PfpPrediction, lpfp, pushforward, rmse
 from .transfer import (
     BetaResult,
     TransferProblem,
     fuse,
     objective_value,
     optimize_beta,
-    temper,
     tempered_posterior,
 )
 

@@ -3,12 +3,13 @@
 The univariate family is orthonormal with respect to the uniform *probability*
 density on [-1, 1] (weight 1/2), i.e. the degree-k member is sqrt(2k+1) * P_k
 with P_k the classical Legendre polynomial.  Multivariate basis functions are
-per-dimension products selected by a total-order multi-index set, and inputs
-are mapped onto the reference cube [-1, 1]^n by a per-dimension affine map.
+per-dimension products selected by a total-order multi-index set (one shared
+per dimension and degree), and inputs map onto [-1, 1]^n per dimension affinely.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -111,7 +112,9 @@ class MultiIndexSet:
     indices: np.ndarray
 
     @classmethod
+    @functools.cache
     def total_order(cls, dimension: int, degree: int) -> "MultiIndexSet":
+        """The set for (dimension, degree), built once per process and shared read-only."""
         expected = n_pce(dimension, degree)
         indices = _total_order_indices(dimension, degree)
         assert indices.shape == (expected, dimension)
@@ -199,39 +202,37 @@ def to_reference(box: DomainBox, x: np.ndarray) -> np.ndarray:
 
 
 def legendre_orthonormal(max_degree: int, xi: np.ndarray) -> np.ndarray:
-    """Univariate orthonormal Legendre values, shape (len(xi), max_degree + 1).
+    """Univariate orthonormal Legendre values, shape xi.shape + (max_degree + 1,).
 
-    Column k holds sqrt(2k+1) * P_k(xi), orthonormal under the uniform
+    Entry [..., k] holds sqrt(2k+1) * P_k(xi), orthonormal under the uniform
     probability density on [-1, 1]; evaluated by the three-term recurrence
-    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}.
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} on all of xi at once.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    table = np.empty((xi.size, max_degree + 1))
-    table[:, 0] = 1.0
+    table = np.empty((max_degree + 1,) + xi.shape)
+    table[0] = 1.0
     if max_degree >= 1:
-        table[:, 1] = xi
+        table[1] = xi
     for k in range(1, max_degree):
-        table[:, k + 1] = ((2 * k + 1) * xi * table[:, k] - k * table[:, k - 1]) / (k + 1)
-    table *= np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
-    return table
+        table[k + 1] = ((2 * k + 1) * xi * table[k] - k * table[k - 1]) / (k + 1)
+    table *= np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0).reshape((-1,) + (1,) * xi.ndim)
+    return np.moveaxis(table, 0, -1)
 
 
 def vandermonde(spec: BasisSpec, X: np.ndarray) -> np.ndarray:
     """Design matrix of basis values, shape (N_points, n_terms).
 
     Row k holds every basis function evaluated at X[k] after mapping into the
-    reference cube.
+    reference cube: one Legendre table for every dimension up to the highest
+    degree in the index set, then one gather and product per dimension.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, spec.box.dimension)
     xi = to_reference(spec.box, X)
-    xi = np.atleast_2d(xi)
     indices = spec.index_set.indices
-    per_dim = [legendre_orthonormal(int(indices[:, j].max()), xi[:, j])
-               for j in range(spec.box.dimension)]
+    table = legendre_orthonormal(int(indices.max()), xi)
     A = np.ones((xi.shape[0], len(spec.index_set)))
-    for j, table in enumerate(per_dim):
-        A *= table[:, indices[:, j]]
+    for j in range(spec.box.dimension):
+        A *= table[:, j, indices[:, j]]
     return A
-

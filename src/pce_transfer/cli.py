@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
@@ -426,7 +427,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # the collection the interpreter runs at exit skips frozen objects
+    sys.exit(code)
 
 
 if __name__ == "__main__":

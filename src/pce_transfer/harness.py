@@ -2,10 +2,10 @@
 
 A trial samples source/target/validation data, builds both likelihoods on the
 affine frame of the box encompassing the source and target domains, optimizes
-the tempering exponent, and scores the tempered posterior against no transfer
-(beta = 0) and full transfer (beta = 1) on held-out validation data.
-`run_shift` runs every trial at one domain or task shift and
-`aggregate_records` summarizes them; the CLI sweeps a list of shifts.
+the tempering exponent, and scores beta* against no transfer (beta = 0) and
+full transfer (beta = 1) on held-out validation data.  `run_shift` runs every
+trial at one domain or task shift, loading the process pool only for
+workers > 1, and `aggregate_records` summarizes them.
 
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -268,29 +267,33 @@ def _failed_record(trial: int, shift: float, reason: str) -> TrialRecord:
                        status=f"failed: {reason}")
 
 
+def mode_predictions(prob: TransferProblem, beta_star: float, design: Design,
+                     noise_var: float = 0.0) -> dict[str, PfpPrediction]:
+    """Predictions at beta = 0 ("b0"), beta* ("bstar") and 1 ("b1"), in that order.
+
+    beta* and 1 read the whitened frame through one G = A F, mean G z and
+    variances (G * G) v, so no posterior is formed; beta* = 0 shares b0.
+    """
+    preds = {"b0": pushforward(tempered_posterior(prob, 0.0), design, noise_var=noise_var)}
+    G = design.matrix @ prob.frame.F
+    for tag, beta in (("bstar", beta_star), ("b1", 1.0)):
+        z, var = prob.frame.whitened(beta)
+        preds[tag] = preds["b0"] if beta == 0.0 else PfpPrediction(
+            design.points, G @ z, (G * G) @ var + noise_var)
+    return preds
+
+
 def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int,
                    points: np.ndarray) -> tuple[float, dict[str, PfpPrediction]]:
-    """Fit both tasks at one degree, optimize beta, and predict at points.
-
-    Returns beta* and the predictions at beta = 0 ("b0"), beta* ("bstar")
-    and beta = 1 ("b1"), in that order, all three from one design at points.
-    """
+    """Fit both tasks at one degree, optimize beta, and return beta* and `mode_predictions`."""
     spec = BasisSpec.total_order(cfg.reference_box(), degree)
     noise_var = cfg.noise_var()
     source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, noise_var))
     target_lik = likelihood(CalibrationTask(spec, data.X_target, data.y_target, noise_var))
     prob = TransferProblem(source_lik, target_lik, cfg.objective)
-    result = optimize_beta(prob)
-    posteriors = {
-        "b0": tempered_posterior(prob, 0.0),
-        "bstar": result.tempered_posterior,
-        "b1": tempered_posterior(prob, 1.0),
-    }
-    design = Design(spec, points)
-    return result.beta_star, {
-        tag: pushforward(post, design, noise_var=cfg.lpfp_noise_var)
-        for tag, post in posteriors.items()
-    }
+    beta_star = optimize_beta(prob).beta_star
+    return beta_star, mode_predictions(prob, beta_star, Design(spec, points),
+                                       noise_var=cfg.lpfp_noise_var)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
@@ -328,6 +331,9 @@ def run_shift(cfg_template: ExperimentConfig, shift: float,
     trials = range(cfg.n_trials)
     workers = min(workers, cfg.n_trials)
     if workers > 1:
+        # Imported here: a serial run never loads the pool or multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, [cfg] * cfg.n_trials, trials))
     else:

@@ -4,11 +4,11 @@ A Gaussian coefficient posterior pushed through the (linear) basis map gives
 a Gaussian over outputs at any set of evaluation points: mean = A mu,
 covariance = A Sigma A^T, optionally inflated by an observation-noise
 variance.  The design matrix A of a basis at a list of points is a `Design`,
-built once and shared by every posterior predicted there.  Every score here
-reads one point at a time, so a prediction keeps only the per-point marginal
+built once and shared by every prediction there (`harness.mode_predictions`
+reads beta* and 1 off the whitened frame through it).  Every score here reads
+one point at a time, so a prediction keeps only the per-point marginal
 variances diag(A Sigma A^T), never the m x m covariance between points.
-Scores are the summed per-point marginal log-densities of observed outputs
-and the plain RMSE of the mean surrogate.
+Scores are the summed per-point marginal log-densities and the plain RMSE.
 """
 
 from __future__ import annotations
@@ -101,12 +101,3 @@ def rmse(pred: PfpPrediction, y_true) -> float:
     if y.shape[0] != pred.mean.shape[0]:
         raise ValueError("y_true length does not match point count")
     return float(np.sqrt(np.mean((pred.mean - y) ** 2)))
-
-
-def correlation_matrix(dist: GaussianDist) -> np.ndarray:
-    """Matrix of correlation coefficients R = D^{-1} Sigma D^{-1}, D = sqrt(diag)."""
-    d = np.sqrt(np.diag(dist.cov))
-    R = dist.cov / np.outer(d, d)
-    R = 0.5 * (R + R.T)
-    np.fill_diagonal(R, 1.0)
-    return np.clip(R, -1.0, 1.0)

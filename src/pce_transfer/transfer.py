@@ -26,7 +26,7 @@ golden-section search; `objective_value` reproduces a scan point bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -74,12 +74,16 @@ class WhitenedFrame:
         self.logdet_t = 2.0 * np.sum(np.log(np.diag(L_t)))
         self.log2pi = np.log(2.0 * np.pi)
 
+    def whitened(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
+        """z and v with posterior(beta) = N(F z, F diag(v) F^T): through A, mean (A F) z."""
+        shrink = 1.0 / (1.0 + beta * self.w)
+        return (self.m_t + beta * self.w * self.m_s) * shrink, shrink
+
     def posterior(self, beta: float) -> GaussianDist:
         """The source tempered by beta, fused with the target."""
-        shrink = 1.0 / (1.0 + beta * self.w)
+        z, shrink = self.whitened(beta)
         cov = (self.F * shrink) @ self.F.T
-        mean = self.F @ ((self.m_t + beta * self.w * self.m_s) * shrink)
-        return GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
+        return GaussianDist(mean=self.F @ z, cov=0.5 * (cov + cov.T))
 
     def values(self, objective: str, betas: np.ndarray) -> np.ndarray:
         """The objective at each beta on the scan's scale: log-DS for DS."""
@@ -144,7 +148,12 @@ class BetaResult:
     beta_star: float
     betas: np.ndarray
     values: np.ndarray
-    tempered_posterior: GaussianDist
+    problem: TransferProblem = field(repr=False)
+
+    @cached_property
+    def tempered_posterior(self) -> GaussianDist:
+        """The posterior at beta*, assembled on first access."""
+        return tempered_posterior(self.problem, self.beta_star)
 
     def to_record(self) -> dict:
         return {
@@ -154,20 +163,11 @@ class BetaResult:
         }
 
 
-def temper(source: GaussianDist, beta: float) -> GaussianDist:
-    """Raise a Gaussian to the power beta in (0, 1]: covariance scales by 1/beta."""
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"tempering exponent must lie in (0, 1], got {beta}")
-    return GaussianDist(mean=source.mean, cov=source.cov / beta)
-
-
 def tempered_posterior(prob: TransferProblem, beta: float) -> GaussianDist:
     """Fuse the tempered source with the target; beta = 0 returns the target."""
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"tempering exponent must lie in [0, 1], got {beta}")
-    if beta == 0.0:
-        return prob.target
-    return prob.frame.posterior(beta)
+    return prob.target if beta == 0.0 else prob.frame.posterior(beta)
 
 
 def fuse(prior: GaussianDist, lik: GaussianDist) -> GaussianDist:
@@ -245,5 +245,5 @@ def optimize_beta(prob: TransferProblem,
         beta_star=beta_star,
         betas=grid,
         values=values,
-        tempered_posterior=tempered_posterior(prob, beta_star),
+        problem=prob,
     )

@@ -1,4 +1,21 @@
+import gc
+
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_frozen_objects_left():
+    """Fail a test that leaves objects frozen: gc.freeze is process-wide.
+
+    Only `cli.entrypoint` may freeze, as the process exits; a freeze left by
+    a test would exempt everything allocated so far from collection in every
+    later test.
+    """
+    yield
+    frozen = gc.get_freeze_count()
+    if frozen:
+        gc.unfreeze()
+        pytest.fail(f"test left {frozen} objects frozen by gc.freeze")
 
 
 def pytest_configure(config):

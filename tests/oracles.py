@@ -5,13 +5,14 @@ densities go through plain inv/slogdet algebra, integrals through scipy's
 adaptive cubature, the conjugate update through SciPy Cholesky solves, and
 expectations through Monte-Carlo sampling.  The objectives also have a direct
 matrix form here, one beta at a time, to check the package's whitened solver
-against.
+against, and tempering and correlation matrices have their plain definitions.
 """
 
 import numpy as np
 from scipy import integrate
 from scipy.linalg import cho_factor, cho_solve
 
+from pce_transfer.errors import DomainError
 from pce_transfer.gaussian import GaussianDist
 from pce_transfer.transfer import TransferProblem, tempered_posterior
 
@@ -48,12 +49,34 @@ def _plain_logpdf(draws, mean, cov):
     return _plain_logpdf_of(mean, cov)(draws)
 
 
-def log_pdf(dist: GaussianDist, theta) -> float:
-    """Multivariate normal log-density of dist at one point."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != dist.dim:
-        raise ValueError(f"point has dimension {theta.size}, distribution has {dist.dim}")
-    return float(_plain_logpdf(theta[None, :], dist.mean, dist.cov)[0])
+def log_pdf(dist: GaussianDist, theta):
+    """Multivariate normal log-density of dist at one point, or at each row of an (n, k) grid.
+
+    A single point of shape (k,) gives a float; a grid gives an array of n
+    values from one inverse and one log-determinant.
+    """
+    theta = np.asarray(theta, dtype=float)
+    points = theta if theta.ndim == 2 else theta.reshape(1, -1)
+    if points.shape[1] != dist.dim:
+        raise ValueError(f"points have dimension {points.shape[1]}, distribution has {dist.dim}")
+    values = _plain_logpdf(points, dist.mean, dist.cov)
+    return values if theta.ndim == 2 else float(values[0])
+
+
+def temper(source: GaussianDist, beta: float) -> GaussianDist:
+    """Raise a Gaussian to the power beta in (0, 1]: covariance scales by 1/beta."""
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"tempering exponent must lie in (0, 1], got {beta}")
+    return GaussianDist(mean=source.mean, cov=source.cov / beta)
+
+
+def correlation_matrix(dist: GaussianDist) -> np.ndarray:
+    """Matrix of correlation coefficients R = D^{-1} Sigma D^{-1}, D = sqrt(diag)."""
+    d = np.sqrt(np.diag(dist.cov))
+    R = dist.cov / np.outer(d, d)
+    R = 0.5 * (R + R.T)
+    np.fill_diagonal(R, 1.0)
+    return np.clip(R, -1.0, 1.0)
 
 
 def precision_sum_posterior(prior: GaussianDist, lik: GaussianDist):

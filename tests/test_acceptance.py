@@ -13,14 +13,20 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from oracles import mc_edf, mc_kld, quad_product_integral, rand_problem
+from oracles import (
+    correlation_matrix,
+    mc_edf,
+    mc_kld,
+    quad_product_integral,
+    rand_problem,
+    temper,
+)
 from pce_transfer.basis import BasisSpec
 from pce_transfer.cli import main as cli_main
 from pce_transfer.gaussian import CalibrationTask, likelihood
 from pce_transfer.harness import trial_data
-from pce_transfer.predict import correlation_matrix
 from pce_transfer.scenarios import subsurface_scenario
-from pce_transfer.transfer import fuse, objective_value, temper, tempered_posterior
+from pce_transfer.transfer import fuse, objective_value, tempered_posterior
 
 
 def read_aggregate(path):

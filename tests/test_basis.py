@@ -119,6 +119,18 @@ class TestMultiIndexSet:
         assert len({tuple(r) for r in idx}) == len(idx)
 
 
+    def test_equal_pairs_share_one_read_only_set(self):
+        first = MultiIndexSet.total_order(3, 2)
+        assert MultiIndexSet.total_order(3, 2) is first
+        box_a = DomainBox(np.zeros(3), np.ones(3))
+        box_b = DomainBox(-np.ones(3), 2.0 * np.ones(3))
+        assert BasisSpec.total_order(box_a, 2).index_set is first
+        assert BasisSpec.total_order(box_b, 2).index_set is first
+        assert MultiIndexSet.total_order(3, 3) is not first
+        with pytest.raises(ValueError):
+            first.indices[0, 0] = 1
+
+
 class TestUnivariateLegendre:
     def test_endpoint_values(self):
         # psi_k(1) = sqrt(2k+1), a consequence of P_k(1) = 1.
@@ -189,6 +201,22 @@ class TestVandermonde:
         A = vandermonde(spec, X)
         gram = A.T @ A / len(A)
         np.testing.assert_allclose(gram, np.eye(spec.n_terms), atol=5e-3)
+
+    @pytest.mark.parametrize("lower,upper,degree", [
+        ([-1.0], [1.0], 7), ([-2.0, 1.0], [3.0, 4.0], 4), ([0.0, -1.0, 5.0], [1.0, 2.0, 9.0], 5),
+    ])
+    def test_matches_legval_products(self, lower, upper, degree):
+        # Each column is a product over dimensions of sqrt(2k+1) P_k, here
+        # from numpy's Legendre series evaluation instead of the recurrence.
+        rng = np.random.default_rng(degree)
+        spec = BasisSpec.total_order(DomainBox(np.array(lower), np.array(upper)), degree)
+        X = rng.uniform(spec.box.lower, spec.box.upper, size=(200, spec.box.dimension))
+        xi = to_reference(spec.box, X)
+        expected = np.ones((len(X), spec.n_terms))
+        for col, row in enumerate(spec.index_set.indices):
+            for j, k in enumerate(row):
+                expected[:, col] *= np.sqrt(2 * k + 1) * classical_legendre(k, xi[:, j])
+        np.testing.assert_allclose(vandermonde(spec, X), expected, rtol=1e-12, atol=1e-12)
 
     def test_out_of_box_point_propagates(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)

@@ -1,16 +1,30 @@
 """Tests for the command-line interface contracts."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pce_transfer
+from pce_transfer import cli
 from pce_transfer.cli import main
 from pce_transfer.models import cubic_truth
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter with this checkout's package on its path."""
+    src = str(Path(pce_transfer.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
 
 
 def write_dataset(path, X, Y, header=None):
@@ -227,13 +241,6 @@ def tiny_repro_args(out, extra=()):
 class TestRepro:
     def test_run_never_imports_scipy(self, tmp_path):
         # numpy is the only run-time numeric dependency: one BLAS per process.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import pce_transfer
-
         code = (
             "import sys\n"
             "from pce_transfer.cli import main\n"
@@ -241,11 +248,50 @@ class TestRepro:
             "'--set', 'n_trials=1', '--set', 'shifts=[0.0]']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        src = str(Path(pce_transfer.__file__).resolve().parents[1])
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_and_serial_run_load_no_process_pool(self, tmp_path):
+        # Only --workers > 1 needs the pool; a serial run must not pay its import.
+        pool = ("print(sorted(m for m in sys.modules if m == 'concurrent.futures.process'"
+                " or m.split('.')[0] == 'multiprocessing'))\n")
+        code = (
+            "import sys\n"
+            "from pce_transfer.cli import main\n"
+            + pool
+            + f"assert main({tiny_repro_args(tmp_path / 'run')!r}) == 0\n"
+            + pool
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "[]"]
+
+    @pytest.mark.parametrize("extra,code", [
+        ((), 0),
+        (("--set", "shifts=[0.0,200.0]", "--set", "degrees=[3]", "--set", "bands=false"), 1),
+        (("--set", "shifts=[]"), 2),
+    ], ids=["ok", "every-trial-failed", "usage"])
+    def test_module_entry_point_exit_codes(self, tmp_path, extra, code):
+        result = run_python("-m", "pce_transfer", *tiny_repro_args(tmp_path / "run", extra),
+                            cwd=tmp_path)
+        assert result.returncode == code, result.stderr
+        assert ("error:" in result.stderr) == (code != 0)
+
+    def test_entrypoint_freezes_only_after_main_returns(self, monkeypatch):
+        # The freeze spares the exiting process a teardown collection; main()
+        # itself, as tests and library callers use it, freezes nothing.
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 0)
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                cli.entrypoint()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert seen == [0]
+        assert exit_info.value.code == 0
+        assert frozen > 0
 
     def test_smoke_run_emits_all_files(self, tmp_path):
         import time

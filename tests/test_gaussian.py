@@ -38,7 +38,7 @@ def grid_product_moments(a: GaussianDist, b: GaussianDist, n_axis=41):
     hw = 4.0 * np.sqrt(max(a.cov.max(), b.cov.max()))
     axes = [np.linspace(center[i] - hw, center[i] + hw, n_axis) for i in range(k)]
     G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
-    logw = np.array([log_pdf(a, g) + log_pdf(b, g) for g in G])
+    logw = log_pdf(a, G) + log_pdf(b, G)
     w = np.exp(logw - logw.max())
     w /= w.sum()
     mean = w @ G
@@ -224,7 +224,7 @@ class TestLikelihood:
     def test_orthonormal_design_decorrelates_coefficients(self):
         # Uniform sampling with an orthonormal basis leaves the likelihood
         # nearly uncorrelated once the dataset is large.
-        from pce_transfer.predict import correlation_matrix
+        from oracles import correlation_matrix
 
         rng = np.random.default_rng(42)
         box = DomainBox(np.zeros(5), np.ones(5))

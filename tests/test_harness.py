@@ -1,5 +1,6 @@
 """Tests for sampling, trials, shifts, aggregates, and band exports."""
 
+import concurrent.futures
 import dataclasses
 import json
 
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pce_transfer import harness
 from pce_transfer.basis import BasisSpec, DomainBox
-from pce_transfer.gaussian import CalibrationTask, likelihood
+from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
 from pce_transfer.harness import (
     ExperimentConfig,
     aggregate_records,
     derive_seed,
+    mode_predictions,
     pfp_bands,
     run_shift,
     run_trial,
@@ -24,7 +25,7 @@ from pce_transfer.harness import (
 from pce_transfer.models import cubic_model
 from pce_transfer.predict import Design, lpfp, pushforward
 from pce_transfer.scenarios import cubic_scenario, ishigami_scenario, subsurface_scenario
-from pce_transfer.transfer import TransferProblem, optimize_beta
+from pce_transfer.transfer import TransferProblem, optimize_beta, tempered_posterior
 
 
 def small_cubic_cfg(**overrides):
@@ -224,6 +225,49 @@ class TestRunTrial:
         assert rec.lpfp_bstar == lpfp(pred, data.y_val)
 
 
+def scenario_problem(cfg, degree, trial=0):
+    """The transfer problem and validation design of one trial of a shipped study."""
+    data = trial_data(cfg, trial)
+    spec = BasisSpec.total_order(cfg.reference_box(), degree)
+    nv = cfg.noise_var()
+    src = likelihood(CalibrationTask(spec, data.X_source, data.y_source, nv))
+    tgt = likelihood(CalibrationTask(spec, data.X_target, data.y_target, nv))
+    return TransferProblem(src, tgt, cfg.objective), Design(spec, data.X_val)
+
+
+class TestModePredictions:
+    @pytest.mark.parametrize("scenario,degree,p", [
+        (cubic_scenario, 1, 2), (ishigami_scenario, 3, 10), (subsurface_scenario, 3, 56),
+    ])
+    def test_frame_predictions_match_pushforward(self, scenario, degree, p):
+        cfg = scenario()[0].with_shift(scenario()[1][1])
+        prob, design = scenario_problem(cfg, degree)
+        assert prob.source.dim == p
+        # beta* is 1 at two of these shifts, so an interior beta runs too.
+        for beta_star in (optimize_beta(prob).beta_star, 0.3):
+            preds = mode_predictions(prob, beta_star, design, noise_var=0.01)
+            for tag, beta in (("bstar", beta_star), ("b1", 1.0)):
+                oracle = pushforward(tempered_posterior(prob, beta), design, noise_var=0.01)
+                np.testing.assert_allclose(preds[tag].mean, oracle.mean, rtol=1e-10,
+                                           atol=1e-10 * np.abs(oracle.mean).max())
+                np.testing.assert_allclose(preds[tag].marginal_var, oracle.marginal_var,
+                                           rtol=1e-10)
+            b0 = pushforward(prob.target, design, noise_var=0.01)
+            np.testing.assert_array_equal(preds["b0"].mean, b0.mean)
+            np.testing.assert_array_equal(preds["b0"].marginal_var, b0.marginal_var)
+
+    def test_beta_star_zero_shares_the_b0_prediction(self):
+        cfg = cubic_scenario()[0]
+        prob, design = scenario_problem(cfg, 3)
+        far = GaussianDist(prob.target.mean + 100.0, 1e-4 * prob.target.cov)
+        prob = TransferProblem(far, prob.target, "EDF")
+        beta_star = optimize_beta(prob).beta_star
+        assert beta_star == 0.0
+        preds = mode_predictions(prob, beta_star, design)
+        assert preds["bstar"] is preds["b0"]
+        assert list(preds) == ["b0", "bstar", "b1"]
+
+
 class TestTrialIndependenceAndSweep:
     def test_trial_records_independent_of_subset(self):
         cfg = small_cubic_cfg(n_trials=5)
@@ -275,7 +319,7 @@ class TestTrialIndependenceAndSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         cfg = small_cubic_cfg(n_trials=2)
         assert run_shift(cfg, 0.5, workers=64) == run_shift(cfg, 0.5)
         assert sizes == [2]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import correlation_matrix, temper
 from pce_transfer.basis import BasisSpec, DomainBox, vandermonde
 from pce_transfer.errors import DomainError
 from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
@@ -10,12 +11,10 @@ from pce_transfer.models import cubic_truth
 from pce_transfer.predict import (
     Design,
     PfpPrediction,
-    correlation_matrix,
     lpfp,
     pushforward,
     rmse,
 )
-from pce_transfer.transfer import temper
 
 
 def rand_spd(rng, k, scale=1.0):

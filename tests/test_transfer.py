@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    correlation_matrix,
     direct_objective,
     log_pdf,
     log_product_integral,
@@ -22,16 +23,15 @@ from oracles import (
     quad_product_integral,
     rand_problem,
     rand_spd,
+    temper,
 )
 from pce_transfer.errors import DomainError, NumericError
 from pce_transfer.gaussian import GaussianDist
-from pce_transfer.predict import correlation_matrix
 from pce_transfer.transfer import (
     TransferProblem,
     fuse,
     objective_value,
     optimize_beta,
-    temper,
     tempered_posterior,
 )
 
@@ -43,7 +43,7 @@ def grid_posterior_moments(prob, beta, n_axis=201):
     hw = 4.0 * np.sqrt(max((s.cov / max(beta, 1e-3)).max(), t.cov.max()))
     axes = [np.linspace(center[i] - hw, center[i] + hw, n_axis) for i in range(2)]
     G = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    logw = np.array([beta * log_pdf(s, g) + log_pdf(t, g) for g in G])
+    logw = beta * log_pdf(s, G) + log_pdf(t, G)
     w = np.exp(logw - logw.max())
     w /= w.sum()
     mean = w @ G
