@@ -310,6 +310,31 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
     bands = cfg.get("bands", cfg["scenario"] == "cubic")
     if type(bands) is not bool or (bands and cfg["scenario"] != "cubic"):
         raise UsageError(f"bands must be false, or true for the 1-D cubic scenario; got {bands!r}")
+    # One pool serves every shift of every sweep.  It forks all its workers at
+    # the first map, so workers beyond the largest shift's trials would idle.
+    # The fork comes before this process has run any trial algebra, which
+    # keeps the workers' resident sets small.
+    workers = min(workers, max(exp_cfg.n_trials for _, exp_cfg, _ in scenarios))
+    if workers == 1:
+        return run_sweeps(cfg, scenarios, bands, out_dir, force, pool=None, pool_broke=())
+    # Imported here: a serial run never loads the pool or multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return run_sweeps(cfg, scenarios, bands, out_dir, force, pool=pool,
+                          pool_broke=BrokenProcessPool)
+
+
+def run_sweeps(cfg: dict, scenarios: list, bands: bool, out_dir: Path, force: bool,
+               pool, pool_broke) -> int:
+    """Run or resume every shift of every sweep and write shards, tables and summary.
+
+    pool goes to every `run_shift`; pool_broke is the exception it raises when
+    a worker dies, or () for no pool, which an except clause never matches.
+    Such a shift ends the command with exit 1, and the shards of the shifts
+    before it stay, so a rerun resumes from them.
+    """
     summary: dict = {"config": cfg, "sweeps": {}}
     all_failed = []
     for tag, exp_cfg, shifts in scenarios:
@@ -330,7 +355,12 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
                 d: read_trial_csv(p, config_line) for d, p in shard_paths.items()
             }
             if not by_degree or None in by_degree.values():
-                by_degree = run_shift(exp_cfg, shift, workers=workers)
+                try:
+                    by_degree = run_shift(exp_cfg, shift, pool=pool)
+                except pool_broke as exc:
+                    print(f"error: a worker process died in sweep {tag or 'default'}, "
+                          f"shift {shift}: {exc}", file=sys.stderr)
+                    return 1
                 for d, recs in by_degree.items():
                     write_csv(shard_paths[d], TRIAL_CSV_COLUMNS,
                               [r.as_csv_row() for r in recs], resolved)
@@ -389,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable; value parsed as JSON)")
-        p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes that run the trials (default 1: this one)")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--force", action="store_true",
                        help="recompute shifts whose shard files already exist")
@@ -401,6 +432,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out) if args.out else Path("runs") / args.command
     try:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         if args.command == "fit":
             cfg = load_config(args.config, args.set, FIT_KEYS)
             return cmd_fit(cfg, out_dir)

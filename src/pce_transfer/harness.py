@@ -4,8 +4,8 @@ A trial samples source/target/validation data, builds both likelihoods on the
 affine frame of the box encompassing the source and target domains, optimizes
 the tempering exponent, and scores beta* against no transfer (beta = 0) and
 full transfer (beta = 1) on held-out validation data.  `run_shift` runs every
-trial at one domain or task shift, loading the process pool only for
-workers > 1, and `aggregate_records` summarizes them.
+trial at one domain or task shift, in this process or on a pool of worker
+processes the caller opens, and `aggregate_records` summarizes them.
 
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
@@ -321,23 +321,17 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
 
 
 def run_shift(cfg_template: ExperimentConfig, shift: float,
-              workers: int = 1) -> dict[int, list[TrialRecord]]:
+              pool=None) -> dict[int, list[TrialRecord]]:
     """All trials at one shift, keyed by degree and ordered by trial index.
 
-    The pool never holds more processes than there are trials: it starts
-    all of them at the first submit.
+    pool, an executor such as a `concurrent.futures.ProcessPoolExecutor`,
+    spreads the trials over its workers; without one they run in this process.
+    Records do not depend on which process computes them.
     """
     cfg = cfg_template.with_shift(shift)
     trials = range(cfg.n_trials)
-    workers = min(workers, cfg.n_trials)
-    if workers > 1:
-        # Imported here: a serial run never loads the pool or multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run_trial, [cfg] * cfg.n_trials, trials))
-    else:
-        per_trial = [run_trial(cfg, t) for t in trials]
+    run = map if pool is None else pool.map
+    per_trial = list(run(run_trial, [cfg] * cfg.n_trials, trials))
     return {d: [per_trial[t][d] for t in trials] for d in cfg.degrees}
 
 

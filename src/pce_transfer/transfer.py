@@ -62,7 +62,8 @@ class WhitenedFrame:
             _, sigma, Ut = np.linalg.svd(_solve_factor(source.chol, L_t))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"relative precision spectrum did not converge: {exc}") from exc
-        self.w = w = sigma**2
+        with np.errstate(over="ignore"):  # an overflow is raised just below
+            self.w = w = sigma**2
         # An overflowing whitened factor surfaces here as a NaN or infinite w.
         if not np.all((w > 0) & np.isfinite(w)):
             raise NumericError("relative precision spectrum is not finite and positive")

@@ -1,5 +1,6 @@
 """Tests for the command-line interface contracts."""
 
+import concurrent.futures
 import gc
 import json
 import os
@@ -11,20 +12,39 @@ import numpy as np
 import pytest
 
 import pce_transfer
-from pce_transfer import cli
+from pce_transfer import cli, harness
 from pce_transfer.cli import main
 from pce_transfer.models import cubic_truth
+
+RUN_TRIAL = harness.run_trial
 
 
 def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python(*args, cwd=None):
-    """A fresh interpreter with this checkout's package on its path."""
+def run_python(*args, cwd=None, env=None):
+    """A fresh interpreter with this checkout's package on its path.
+
+    env, if given, replaces this process's environment.
+    """
     src = str(Path(pce_transfer.__file__).resolve().parents[1])
+    env = dict(os.environ if env is None else env, PYTHONPATH=src)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+                          env=env, timeout=120)
+
+
+def die_at_shift_0_1(cfg, trial):
+    """harness.run_trial, except that at shift 0.1 its process exits at once."""
+    if cfg.shift == 0.1:
+        os._exit(3)
+    return RUN_TRIAL(cfg, trial)
+
+
+def output_files(out):
+    """Every file under out, by relative path, as bytes."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 def write_dataset(path, X, Y, header=None):
@@ -267,6 +287,16 @@ class TestRepro:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split("\n")[:2] == ["[]", "[]"]
 
+    @pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+    def test_import_sets_one_blas_thread_unless_already_set(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, pce_transfer; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        result = run_python("-c", code, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == expected
+
     @pytest.mark.parametrize("extra,code", [
         ((), 0),
         (("--set", "shifts=[0.0,200.0]", "--set", "degrees=[3]", "--set", "bands=false"), 1),
@@ -360,10 +390,63 @@ class TestRepro:
 
     def test_workers_flag_matches_serial(self, tmp_path):
         out1, out2 = tmp_path / "s", tmp_path / "p"
-        args = ["--set", "n_trials=2"]
+        args = ["--set", "n_trials=2", "--set", "shifts=[0.0,0.1]"]
         assert run_cli(*tiny_repro_args(out1, extra=args)) == 0
         assert run_cli(*tiny_repro_args(out2, extra=args + ["--workers", "2"])) == 0
-        assert (out1 / "trials_d1.csv").read_bytes() == (out2 / "trials_d1.csv").read_bytes()
+        serial, parallel = output_files(out1), output_files(out2)
+        assert {"shards/shift_001_d1.csv", "bands_A_d1.csv", "summary.json"} <= set(serial)
+        assert parallel == serial
+
+    @pytest.mark.parametrize("workers", [2, 64])
+    def test_pool_never_exceeds_trial_count(self, tmp_path, monkeypatch, workers):
+        # One pool serves the whole command.  It forks all max_workers
+        # processes at the first map, so workers beyond the trials of a shift
+        # would sit idle, and one trial per shift needs no pool at all; an
+        # in-process fake records each pool built.
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                self.size, self.maps = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                self.maps += 1
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        args = ["repro-subsurface-synthetic", "--set", "n_trials=3", "--set", "n_val=20",
+                "--set", "shifts=[0.0,0.1]"]
+        assert run_cli(*args, "--out", str(tmp_path / "p"), "--workers", str(workers)) == 0
+        assert [(pool.size, pool.maps) for pool in pools] == [(min(workers, 3), 4)]
+        assert run_cli(*args, "--out", str(tmp_path / "s")) == 0
+        assert run_cli(*args, "--out", str(tmp_path / "one"), "--set", "n_trials=1",
+                       "--workers", str(workers)) == 0
+        assert len(pools) == 1
+        assert output_files(tmp_path / "p") == output_files(tmp_path / "s")
+
+    def test_dead_worker_exits_1_naming_the_shift_and_keeps_earlier_shards(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        args = tiny_repro_args(out, extra=["--set", "n_trials=2", "--set", "shifts=[0.0,0.1]",
+                                           "--set", "bands=false"])
+        monkeypatch.setattr(harness, "run_trial", die_at_shift_0_1)
+        assert run_cli(*args, "--workers", "2") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: a worker process died in sweep default, shift 0.1")
+        assert sorted(output_files(out)) == ["shards/shift_000_d1.csv"]
+        first = (out / "shards" / "shift_000_d1.csv").read_bytes()
+        monkeypatch.setattr(harness, "run_trial", RUN_TRIAL)
+        assert run_cli(*args) == 0
+        assert (out / "shards" / "shift_000_d1.csv").read_bytes() == first
+        assert (out / "summary.json").exists()
 
 
 REJECTED_SWEEP_SETTINGS = [
@@ -389,6 +472,17 @@ class TestSweepCommand:
                        "--set", "shifts=[0.0]", "--set", setting)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["repro-cubic", "repro-ishigami"])
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_rejected_workers_exits_2_without_output(self, tmp_path, capsys, command,
+                                                      workers):
+        out = tmp_path / "run"
+        code = run_cli(command, "--out", str(out), "--set", "n_trials=1",
+                       "--set", "shifts=[0.0]", "--workers", workers)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
         assert not out.exists()
 
     def test_bands_outside_cubic_exits_2(self, tmp_path):

@@ -158,6 +158,7 @@ class TestWhitenedFrame:
         assert np.abs(post.mean - mean).max() <= 1e-9 * np.abs(mean).max()
         assert np.abs(post.cov - cov).max() <= 1e-9 * np.abs(cov).max()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("source_var, target_var", [(1e-300, 1e300), (1e-320, 1e308)])
     def test_overflowing_spectrum_is_numeric_error(self, source_var, target_var):
         # The first pair overflows the spectrum w = sigma^2, the second already
