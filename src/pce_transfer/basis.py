@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 # Slack for points that round-trip the affine map and land marginally outside.
 BOX_TOLERANCE = 1e-12
@@ -71,6 +70,8 @@ class DomainBox:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
         if lower.size < 1:
             raise ValueError("box dimension must be >= 1")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("box bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
         lower.flags.writeable = False
@@ -93,13 +94,10 @@ class DomainBox:
         return DomainBox(np.minimum(self.lower, other.lower),
                          np.maximum(self.upper, other.upper))
 
-    def translate(self, offset, axis: int | None = None) -> "DomainBox":
-        """Shift the box by `offset`, either along one axis or per-dimension."""
+    def translate(self, offset: float, axis: int) -> "DomainBox":
+        """Shift the box by `offset` along one axis."""
         shift = np.zeros(self.dimension)
-        if axis is None:
-            shift[:] = np.asarray(offset, dtype=float)
-        else:
-            shift[axis] = float(offset)
+        shift[axis] = offset
         return DomainBox(self.lower + shift, self.upper + shift)
 
 
@@ -164,15 +162,12 @@ class BasisSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BasisSpec":
-        for key in ("dimension", "degree"):
-            value = cfg[key]
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+        dimension, degree = (integer(key, cfg[key], low=0) for key in ("dimension", "degree"))
         box = DomainBox(np.asarray(cfg["lower"], dtype=float),
                         np.asarray(cfg["upper"], dtype=float))
-        if box.dimension != cfg["dimension"]:
+        if box.dimension != dimension:
             raise ValueError("bounds length does not match the declared dimension")
-        return cls.total_order(box, int(cfg["degree"]))
+        return cls.total_order(box, degree)
 
 
 def to_reference(box: DomainBox, x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import CalibrationError, DomainError, NumericError
+from .errors import CalibrationError, DomainError, NumericError, finite_real, integer
 from .gaussian import (
     DEFAULT_COND_CEILING,
     CalibrationTask,
@@ -137,8 +137,8 @@ def read_trial_csv(path: Path, config_line: str) -> list[TrialRecord] | None:
         header = next(reader)
         if tuple(header) != TRIAL_CSV_COLUMNS:
             raise UsageError(f"{path} has unexpected columns {header}")
-        return [TrialRecord(int(row[0]), *map(float, row[1:9]), status=row[9])
-                for row in reader]
+        return [TrialRecord(int(trial), *map(float, scores), status=status)
+                for trial, *scores, status in reader]
 
 
 def write_json(path: Path, payload: dict):
@@ -203,8 +203,8 @@ def cmd_fit(cfg: dict, out_dir: Path) -> int:
         spec = BasisSpec.from_config(cfg)
         X, Y = load_dataset(cfg["dataset"], spec.box.dimension)
         task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
-        cond_ceiling = float(cfg.get("cond_ceiling", DEFAULT_COND_CEILING))
-        jitter = float(cfg.get("jitter", 0.0))
+        cond_ceiling = cfg.get("cond_ceiling", DEFAULT_COND_CEILING)
+        jitter = cfg.get("jitter", 0.0)
         check_fit_settings(cond_ceiling, jitter)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid fit config: {exc}") from exc
@@ -242,12 +242,6 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
     for key in ("source", "target", "objective"):
         if key not in cfg:
             raise UsageError(f"transfer config requires {key!r}")
-    scan_points = cfg.get("scan_points", DEFAULT_SCAN_POINTS)
-    if type(scan_points) is not int or scan_points < 2:
-        raise UsageError(f"scan_points must be an integer >= 2, got {scan_points!r}")
-    beta_floor = cfg.get("beta_floor", DEFAULT_BETA_FLOOR)
-    if type(beta_floor) not in (int, float) or not 0.0 < beta_floor < 1.0:
-        raise UsageError(f"beta_floor must lie in (0, 1), got {beta_floor!r}")
     source = load_posterior_artifact(cfg["source"])
     target = load_posterior_artifact(cfg["target"])
     if source.dim != target.dim:
@@ -256,6 +250,10 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
         )
     try:
         prob = TransferProblem(source, target, str(cfg["objective"]))
+        scan_points = integer("scan_points", cfg.get("scan_points", DEFAULT_SCAN_POINTS), low=2)
+        beta_floor = cfg.get("beta_floor", DEFAULT_BETA_FLOOR)
+        if not (finite_real(beta_floor) and 0.0 < beta_floor < 1.0):
+            raise ValueError(f"beta_floor must lie in (0, 1), got {beta_floor!r}")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = optimize_beta(prob, scan_points=scan_points, beta_floor=beta_floor)
@@ -289,8 +287,8 @@ def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
     if "sweep_param" in cfg and name != "subsurface-synthetic":
         raise UsageError("sweep_param applies to the subsurface-synthetic scenario only")
     shifts = cfg.get("shifts")
-    if shifts is not None and not (isinstance(shifts, list) and shifts and all(
-            type(s) in (int, float) and abs(s) <= sys.float_info.max for s in shifts)):
+    if shifts is not None and not (isinstance(shifts, list) and shifts
+                                   and all(map(finite_real, shifts))):
         raise UsageError(f"shifts must be a non-empty list of finite numbers, got {shifts!r}")
     overrides = {key: cfg[key] for key in EXPERIMENT_KEYS if key in cfg}
     try:
@@ -419,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable; value parsed as JSON)")
+        if name in ("fit", "transfer"):
+            continue
         p.add_argument("--workers", type=int, default=1,
                        help="processes that run the trials (default 1: this one)")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
@@ -432,14 +432,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out) if args.out else Path("runs") / args.command
     try:
-        if args.workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         if args.command == "fit":
             cfg = load_config(args.config, args.set, FIT_KEYS)
             return cmd_fit(cfg, out_dir)
         if args.command == "transfer":
             cfg = load_config(args.config, args.set, TRANSFER_KEYS)
             return cmd_transfer(cfg, out_dir)
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config, args.set, SWEEP_KEYS)
         if args.command in REPRO_COMMANDS:
             scenario = REPRO_COMMANDS[args.command]

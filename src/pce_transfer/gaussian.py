@@ -12,13 +12,12 @@ per process): every solve against a triangular factor goes through
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisSpec, vandermonde
-from .errors import CalibrationError, NumericError
+from .errors import CalibrationError, NumericError, finite_real, integer
 
 # Relative symmetry slack and the floor applied to estimated noise variances.
 SYMMETRY_RTOL = 1e-12
@@ -83,7 +82,7 @@ class GaussianDist:
 
     @classmethod
     def from_record(cls, record: dict) -> "GaussianDist":
-        dim = int(record["dim"])
+        dim = integer("dim", record["dim"], low=1)
         mean = np.asarray(record["mean"], dtype=float)
         cov = np.asarray(record["cov"], dtype=float).reshape(dim, dim)
         return cls(mean=mean, cov=cov)
@@ -111,8 +110,8 @@ class CalibrationTask:
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y have different numbers of samples")
         nv = self.noise_var
-        if nv is not None and (type(nv) is bool or not (isinstance(nv, numbers.Real) and nv > 0)):
-            raise ValueError(f"noise_var must be positive when given, got {nv!r}")
+        if nv is not None and not (finite_real(nv) and nv > 0):
+            raise ValueError(f"noise_var must be positive and finite when given, got {nv!r}")
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -125,8 +124,9 @@ class CalibrationTask:
 
 def check_fit_settings(cond_ceiling: float, jitter: float):
     """Reject a ceiling or jitter that would switch the conditioning guard off."""
-    if not (cond_ceiling > 0.0 and jitter >= 0.0):
-        raise ValueError("cond_ceiling must be positive and jitter non-negative, "
+    if not (finite_real(cond_ceiling) and cond_ceiling > 0.0
+            and finite_real(jitter) and jitter >= 0.0):
+        raise ValueError("cond_ceiling must be positive and jitter non-negative, both finite, "
                          f"got {cond_ceiling!r} and {jitter!r}")
 
 

@@ -6,6 +6,8 @@ the tempering exponent, and scores beta* against no transfer (beta = 0) and
 full transfer (beta = 1) on held-out validation data.  `run_shift` runs every
 trial at one domain or task shift, in this process or on a pool of worker
 processes the caller opens, and `aggregate_records` summarizes them.
+`ExperimentConfig` checks every study setting once, through the shared
+checks in `errors`; a failure inside a trial stays in that trial's records.
 
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
@@ -15,27 +17,18 @@ configuration and any subset of trials can be recomputed independently.
 from __future__ import annotations
 
 import hashlib
-import math
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .basis import BasisSpec, DomainBox, n_pce
-from .errors import CalibrationError, NumericError
+from .errors import CalibrationError, NumericError, finite_real, integer
 from .gaussian import CalibrationTask, likelihood
 from .models import GenerativeModel
 from .predict import Design, PfpPrediction, lpfp, pushforward, rmse
 from .transfer import OBJECTIVES, TransferProblem, optimize_beta, tempered_posterior
 
 SAMPLERS = ("uniform", "latin-hypercube")
-
-TRIAL_CSV_COLUMNS = (
-    "trial", "shift", "beta_star",
-    "lpfp_b0", "lpfp_bstar", "lpfp_b1",
-    "rmse_b0", "rmse_bstar", "rmse_b1",
-    "status",
-)
 
 AGGREGATE_CSV_COLUMNS = (
     "shift", "n_trials", "n_failed",
@@ -111,21 +104,28 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_source", "n_target", "n_val", "n_trials"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), low=1))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+            object.__setattr__(self, name, integer(name, getattr(self, name), low=1))
+        object.__setattr__(self, "seed", integer("seed", self.seed))
         if not isinstance(self.degrees, (list, tuple)) or not self.degrees:
             raise ValueError(f"degrees must be a non-empty list, got {self.degrees!r}")
         object.__setattr__(self, "degrees",
-                           tuple(_integer("every degree", d, low=0) for d in self.degrees))
+                           tuple(integer("every degree", d, low=0) for d in self.degrees))
         if len(set(self.degrees)) != len(self.degrees):
             raise ValueError(f"degrees must not repeat, got {list(self.degrees)}")
         for name in ("noise_sd", "lpfp_noise_var"):
             value = getattr(self, name)
-            if not _real(value) or value < 0:
+            if not finite_real(value) or value < 0:
                 raise ValueError(f"{name} must be a non-negative number, got {value!r}")
         sd = self.likelihood_noise_sd
-        if sd is not None and not (_real(sd) and sd > 0):
+        if sd is not None and not (finite_real(sd) and sd > 0):
             raise ValueError(f"likelihood_noise_sd must be a positive number or null, got {sd!r}")
+        try:
+            var = self.noise_var()
+        except OverflowError:  # the assumed sd squared exceeds the largest double
+            var = float("inf")
+        if var is not None and not (finite_real(var) and var > 0):
+            raise ValueError("likelihood_noise_sd, or noise_sd when it is null, must square "
+                             f"to a positive finite variance, got {var!r}")
         if not isinstance(self.objective, str) or self.objective.upper() not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; choose from {OBJECTIVES}")
         if self.sampler not in SAMPLERS:
@@ -188,19 +188,6 @@ class ExperimentConfig:
         return out
 
 
-def _integer(name: str, value, low: float = -math.inf) -> int:
-    """value as a Python int; bools, floats, strings and values below low are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        bound = "" if low == -math.inf else f" >= {low}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value))
-
-
 @dataclass(frozen=True)
 class TrialRecord:
     """Scores of one ensemble realization at beta in {0, beta*, 1}."""
@@ -222,6 +209,9 @@ class TrialRecord:
 
     def as_csv_row(self) -> list:
         return [getattr(self, c) for c in TRIAL_CSV_COLUMNS]
+
+
+TRIAL_CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -262,9 +252,8 @@ def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
 
 
 def _failed_record(trial: int, shift: float, reason: str) -> TrialRecord:
-    nan = float("nan")
-    return TrialRecord(trial, shift, nan, nan, nan, nan, nan, nan, nan,
-                       status=f"failed: {reason}")
+    scores = dict.fromkeys(TRIAL_CSV_COLUMNS[2:-1], float("nan"))
+    return TrialRecord(trial, shift, status=f"failed: {reason}", **scores)
 
 
 def mode_predictions(prob: TransferProblem, beta_star: float, design: Design,
@@ -299,10 +288,13 @@ def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int,
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
     """One ensemble realization for every configured degree.
 
-    Calibration failures (ill-conditioned designs) become failed records
-    rather than aborting the sweep.
+    Calibration and numeric failures, a non-finite model output among them,
+    become failed records rather than aborting the sweep.
     """
-    data = trial_data(cfg, trial)
+    try:
+        data = trial_data(cfg, trial)
+    except NumericError as exc:
+        return {d: _failed_record(trial, cfg.shift, str(exc)) for d in cfg.degrees}
     records: dict[int, TrialRecord] = {}
     for degree in cfg.degrees:
         try:
@@ -311,10 +303,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
             for tag, pred in preds.items():
                 scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)
                 scores[f"rmse_{tag}"] = rmse(pred, data.y_val)
-            records[degree] = TrialRecord(
-                trial=trial, shift=cfg.shift, beta_star=beta_star,
-                status="ok", **scores,
-            )
+            records[degree] = TrialRecord(trial, cfg.shift, beta_star, **scores)
         except (CalibrationError, NumericError) as exc:
             records[degree] = _failed_record(trial, cfg.shift, str(exc))
     return records
@@ -360,17 +349,17 @@ def aggregate_records(shift: float, records: list[TrialRecord]) -> dict:
     return row
 
 
-def pfp_bands(cfg_template: ExperimentConfig, shift: float, trial: int = 0,
+def pfp_bands(cfg_template: ExperimentConfig, shift: float,
               n_grid: int = 121) -> dict[int, list[tuple]]:
     """Plot-ready mean +/- 2 sd bands over the encompassing interval.
 
-    One representative trial per shift; rows are (x, mean, lo, hi, beta_mode)
+    Trial 0 represents the shift; rows are (x, mean, lo, hi, beta_mode)
     with beta_mode in {b0, bstar, b1}.  One-dimensional scenarios only.
     """
     cfg = cfg_template.with_shift(shift)
     if cfg.model.dimension != 1:
         raise ValueError("band export is defined for one-dimensional inputs")
-    data = trial_data(cfg, trial)
+    data = trial_data(cfg, 0)
     ref_box = cfg.reference_box()
     grid = np.linspace(ref_box.lower[0], ref_box.upper[0], n_grid).reshape(-1, 1)
     out: dict[int, list[tuple]] = {}

@@ -95,10 +95,6 @@ def _ishigami_fn(pts, theta=0.0):
     return ishigami(pts[:, 0], pts[:, 1], theta=theta)
 
 
-def _subsurface_fn(pts):
-    return synthetic_subsurface(pts)
-
-
 def cubic_model() -> GenerativeModel:
     return GenerativeModel("cubic", 1, _cubic_fn)
 
@@ -108,5 +104,5 @@ def ishigami_model(theta: float = 0.0) -> GenerativeModel:
 
 
 def subsurface_model() -> GenerativeModel:
-    return GenerativeModel("subsurface-synthetic", 5, _subsurface_fn,
+    return GenerativeModel("subsurface-synthetic", 5, synthetic_subsurface,
                            domain=SUBSURFACE_ENVELOPE)

@@ -215,13 +215,12 @@ def _golden_section_max(f, a: float, b: float, tol: float) -> float:
 
 def optimize_beta(prob: TransferProblem,
                   scan_points: int = DEFAULT_SCAN_POINTS,
-                  beta_floor: float = DEFAULT_BETA_FLOOR,
-                  refine_tol: float = DEFAULT_REFINE_TOL) -> BetaResult:
+                  beta_floor: float = DEFAULT_BETA_FLOOR) -> BetaResult:
     """Two-stage deterministic search for the best tempering exponent.
 
     A dense equispaced scan guards against local optima; golden-section
     refinement inside the bracketing interval of the best scan point then
-    resolves beta to `refine_tol`.  Ties break toward larger beta (prefer
+    resolves beta to DEFAULT_REFINE_TOL.  Ties break toward larger beta (prefer
     using the source when the objective is flat).
     """
     lo = 0.0 if prob.objective == "EDF" else beta_floor
@@ -236,7 +235,7 @@ def optimize_beta(prob: TransferProblem,
     a = grid[max(idx - 1, 0)]
     b = grid[min(idx + 1, len(grid) - 1)]
     value = partial(frame.value, prob.objective)
-    refined = _golden_section_max(value, a, b, refine_tol)
+    refined = _golden_section_max(value, a, b, DEFAULT_REFINE_TOL)
 
     candidates = [(float(values[idx]), float(grid[idx])), (value(refined), float(refined))]
     best_value = max(v for v, _ in candidates)

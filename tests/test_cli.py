@@ -131,6 +131,7 @@ class TestFit:
         "dimension=2",
         'lower="a"', "lower=[[0.0],[1.0,2.0]]", 'cond_ceiling="x"', 'jitter="x"',
         "cond_ceiling=0", "jitter=-1",
+        "noise_var=1e400", "jitter=1e400", "cond_ceiling=1e400", "lower=[-1e400]",
     ])
     def test_schema_errors_exit_2_without_output(self, cubic_dataset, tmp_path, setting):
         out = tmp_path / "out"
@@ -215,6 +216,7 @@ class TestTransfer:
         [1, 2],
         {"posterior": {"dim": 1, "mean": [float("nan")], "cov": [1.0]}},
         {"posterior": {"dim": 1, "mean": [0.0], "cov": [float("inf")]}},
+        {"posterior": {"dim": 4.7, "mean": [0.0] * 4, "cov": np.eye(4).ravel().tolist()}},
     ])
     def test_malformed_artifact_exits_2(self, cubic_dataset, tmp_path, payload):
         art = self.make_artifact(cubic_dataset, tmp_path / "fit")
@@ -234,6 +236,21 @@ class TestTransfer:
                        "--set", f"source={art}", "--set", f"target={art}",
                        "--set", "objective=foo")
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "transfer"])
+    @pytest.mark.parametrize("flag", [["--workers", "3"], ["--seed", "4"], ["--force"]])
+    def test_sweep_flags_exit_2_without_output(self, cubic_dataset, tmp_path, capsys,
+                                                command, flag):
+        art = self.make_artifact(cubic_dataset, tmp_path / "fit")
+        out = tmp_path / "out"
+        args = fit_args(cubic_dataset, out) if command == "fit" else [
+            "transfer", "--out", str(out), "--set", f"source={art}",
+            "--set", f"target={art}", "--set", "objective=EDF"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dimension_mismatch_exits_2(self, cubic_dataset, tmp_path):
@@ -453,7 +470,9 @@ REJECTED_SWEEP_SETTINGS = [
     "degrees=1", "degrees=[]", "degrees=[1.5]", "degrees=[-1]", "degrees=[1,1]",
     "n_trials=0", "n_trials=1.5", "n_trials=true", 'seed="x"', "n_val=0",
     "n_source=3", "objective=FOO", 'noise_sd="x"', "lpfp_noise_var=-1",
-    "likelihood_noise_sd=0", "sampler=sobol",
+    "likelihood_noise_sd=0", "likelihood_noise_sd=1e-200", "likelihood_noise_sd=1e200",
+    "noise_sd=1e-200 likelihood_noise_sd=null", "noise_sd=1e200 likelihood_noise_sd=null",
+    "sampler=sobol",
     'shifts=["a"]', "shifts=[true]", "shifts=[NaN]", "shifts=[1e400]", "shifts=0.5",
     "sweep_param=z2", "bands=1", 'bands="yes"',
 ]
@@ -468,8 +487,9 @@ class TestSweepCommand:
     def test_rejected_setting_exits_2_without_output(self, tmp_path, capsys, command,
                                                       setting):
         out = tmp_path / "run"
+        sets = [arg for item in setting.split() for arg in ("--set", item)]
         code = run_cli(command, "--out", str(out), "--set", "n_trials=1",
-                       "--set", "shifts=[0.0]", "--set", setting)
+                       "--set", "shifts=[0.0]", *sets)
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

@@ -129,6 +129,7 @@ class TestLikelihood:
     @pytest.mark.parametrize("settings", [
         {"jitter": -1.0}, {"jitter": float("nan")},
         {"cond_ceiling": -1.0}, {"cond_ceiling": float("nan")},
+        {"jitter": float("inf")}, {"cond_ceiling": float("inf")},
     ])
     def test_settings_that_would_drop_the_ceiling_rejected(self, settings):
         # Without the check, a negative or NaN jitter skipped both the
@@ -139,7 +140,8 @@ class TestLikelihood:
         with pytest.raises(ValueError, match="cond_ceiling must be positive and jitter"):
             likelihood(task, **settings)
 
-    @pytest.mark.parametrize("noise_var", ["x", [1.0], True, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("noise_var", ["x", [1.0], True, 0.0, -1.0, float("nan"),
+                                           float("inf")])
     def test_malformed_noise_var_rejected(self, noise_var):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
         with pytest.raises(ValueError, match="noise_var must be positive"):

@@ -22,7 +22,7 @@ from pce_transfer.harness import (
     sample,
     trial_data,
 )
-from pce_transfer.models import cubic_model
+from pce_transfer.models import GenerativeModel, cubic_model, cubic_truth
 from pce_transfer.predict import Design, lpfp, pushforward
 from pce_transfer.scenarios import cubic_scenario, ishigami_scenario, subsurface_scenario
 from pce_transfer.transfer import TransferProblem, optimize_beta, tempered_posterior
@@ -33,6 +33,11 @@ def small_cubic_cfg(**overrides):
     base = dict(n_trials=3, degrees=(3,), n_val=30)
     base.update(overrides)
     return dataclasses.replace(cfg, **base)
+
+
+def gappy_fn(pts):
+    """The cubic truth with a gap: NaN above x = 0.29, inside the cubic source box."""
+    return np.where(pts[:, 0] > 0.29, np.nan, cubic_truth(pts[:, 0]))
 
 
 class TestDeriveSeed:
@@ -171,6 +176,7 @@ class TestExperimentConfig:
         ("noise_sd", -0.1), ("noise_sd", "x"), ("noise_sd", float("nan")), ("noise_sd", True),
         ("lpfp_noise_var", -1.0), ("lpfp_noise_var", float("inf")),
         ("likelihood_noise_sd", 0.0), ("likelihood_noise_sd", "x"),
+        ("likelihood_noise_sd", 1e-200), ("likelihood_noise_sd", 1e200),
         ("sampler", "sobol"),
     ])
     def test_malformed_noise_and_sampler_rejected(self, name, value):
@@ -207,6 +213,18 @@ class TestRunTrial:
         assert not rec.ok
         assert "condition number" in rec.status
         assert np.isnan(rec.beta_star)
+
+    def test_model_failure_fails_its_trial_at_every_degree(self):
+        # Source points above x = 0.29 hit the gap in trials 2 and 5 only; a
+        # failing trial must not abort the shift or touch the other trials.
+        cfg = small_cubic_cfg(model=GenerativeModel("gappy", 1, gappy_fn), n_trials=6,
+                              degrees=(1, 3))
+        by_degree = run_shift(cfg, 0.0)
+        for records in by_degree.values():
+            assert [r.status for r in records] == [
+                "ok", "ok", "failed: model gappy produced non-finite output", "ok", "ok",
+                "failed: model gappy produced non-finite output"]
+            assert np.isnan(records[2].beta_star)
 
     def test_lpfp_matches_predict_module(self):
         # Cross-module consistency: recompute the beta* pipeline by hand.
