@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisSpec
+from .basis import BasisSpec, to_reference
 from .errors import CalibrationError, DomainError, NumericError, finite_real, integer
 from .gaussian import (
     DEFAULT_COND_CEILING,
@@ -42,13 +42,7 @@ from .harness import (
     pfp_bands,
     run_shift,
 )
-from .scenarios import (
-    CUBIC_BAND_TARGETS,
-    SUBSURFACE_SWEEPS,
-    cubic_scenario,
-    ishigami_scenario,
-    subsurface_scenario,
-)
+from .scenarios import STUDIES
 from .transfer import (
     DEFAULT_BETA_FLOOR,
     DEFAULT_SCAN_POINTS,
@@ -56,11 +50,7 @@ from .transfer import (
     optimize_beta,
 )
 
-REPRO_COMMANDS = {
-    "repro-cubic": "cubic",
-    "repro-ishigami": "ishigami",
-    "repro-subsurface-synthetic": "subsurface-synthetic",
-}
+REPRO_COMMANDS = {f"repro-{name}": name for name in STUDIES}
 
 FIT_KEYS = {"dataset", "dimension", "degree", "lower", "upper", "noise_var",
             "cond_ceiling", "jitter"}
@@ -202,6 +192,7 @@ def cmd_fit(cfg: dict, out_dir: Path) -> int:
     try:
         spec = BasisSpec.from_config(cfg)
         X, Y = load_dataset(cfg["dataset"], spec.box.dimension)
+        to_reference(spec.box, X)  # a point outside lower/upper raises DomainError
         task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
         cond_ceiling = cfg.get("cond_ceiling", DEFAULT_COND_CEILING)
         jitter = cfg.get("jitter", 0.0)
@@ -272,20 +263,16 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
 def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
     """Resolve the scenario name plus overrides into (tag, config, shifts)."""
     name = cfg.get("scenario")
-    if name == "cubic":
-        scenarios = [("", *cubic_scenario())]
-    elif name == "ishigami":
-        scenarios = [("", *ishigami_scenario())]
-    elif name == "subsurface-synthetic":
-        param = cfg.get("sweep_param", "both")
-        if param not in ("both", *SUBSURFACE_SWEEPS):
-            raise UsageError(f"sweep_param must be 'z2', 'R3', or 'both', got {param!r}")
-        params = tuple(SUBSURFACE_SWEEPS) if param == "both" else (param,)
-        scenarios = [(p, *subsurface_scenario(p)) for p in params]
-    else:
-        raise UsageError("scenario must be one of 'cubic', 'ishigami', 'subsurface-synthetic'")
-    if "sweep_param" in cfg and name != "subsurface-synthetic":
-        raise UsageError("sweep_param applies to the subsurface-synthetic scenario only")
+    if not isinstance(name, str) or name not in STUDIES:
+        raise UsageError(f"scenario must be one of {list(STUDIES)}, got {name!r}")
+    scenarios = STUDIES[name].sweeps
+    if "sweep_param" in cfg:
+        param, tags = cfg["sweep_param"], [tag for tag, _, _ in scenarios]
+        if len(tags) < 2:
+            raise UsageError(f"sweep_param applies to a study of several sweeps, not {name!r}")
+        if param != "both" and param not in tags:
+            raise UsageError(f"sweep_param must be one of {tags} or 'both', got {param!r}")
+        scenarios = [sweep for sweep in scenarios if param in ("both", sweep[0])]
     shifts = cfg.get("shifts")
     if shifts is not None and not (isinstance(shifts, list) and shifts
                                    and all(map(finite_real, shifts))):
@@ -305,9 +292,11 @@ def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
 
 def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> int:
     scenarios = build_scenarios(cfg)
-    bands = cfg.get("bands", cfg["scenario"] == "cubic")
-    if type(bands) is not bool or (bands and cfg["scenario"] != "cubic"):
-        raise UsageError(f"bands must be false, or true for the 1-D cubic scenario; got {bands!r}")
+    targets = STUDIES[cfg["scenario"]].band_targets
+    wanted = cfg.get("bands", bool(targets))
+    if type(wanted) is not bool or (wanted and not targets):
+        raise UsageError(f"bands must be false, or true for a study with bands, got {wanted!r}")
+    bands = targets if wanted else {}
     # One pool serves every shift of every sweep.  It forks all its workers at
     # the first map, so workers beyond the largest shift's trials would idle.
     # The fork comes before this process has run any trial algebra, which
@@ -324,17 +313,19 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
                           pool_broke=BrokenProcessPool)
 
 
-def run_sweeps(cfg: dict, scenarios: list, bands: bool, out_dir: Path, force: bool,
+def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bool,
                pool, pool_broke) -> int:
-    """Run or resume every shift of every sweep and write shards, tables and summary.
+    """Run or resume every shift of every sweep; write shards, tables, bands and summary.
 
-    pool goes to every `run_shift`; pool_broke is the exception it raises when
-    a worker dies, or () for no pool, which an except clause never matches.
-    Such a shift ends the command with exit 1, and the shards of the shifts
-    before it stay, so a rerun resumes from them.
+    bands maps each band label to its shift.  pool goes to every `run_shift`;
+    pool_broke is the exception it raises when a worker dies, or () for no
+    pool, which an except clause never matches.  Such a shift ends the
+    command with exit 1, and the shards of the shifts before it stay, so a
+    rerun resumes from them.  A shift whose trials all failed, or a band that
+    cannot be fitted, is reported once every other output is written: exit 1.
     """
     summary: dict = {"config": cfg, "sweeps": {}}
-    all_failed = []
+    failures = []
     for tag, exp_cfg, shifts in scenarios:
         sweep_dir = out_dir / tag if tag else out_dir
         resolved = dict(cfg)
@@ -366,7 +357,8 @@ def run_sweeps(cfg: dict, scenarios: list, bands: bool, out_dir: Path, force: bo
                 records_by_degree[d].extend(recs)
                 aggregates_by_degree[d].append(aggregate_records(shift, recs))
                 if not any(r.ok for r in recs):
-                    all_failed.append(f"sweep {tag or 'default'}, shift {shift}, degree {d}")
+                    failures.append(f"every trial failed in sweep {tag or 'default'}, "
+                                    f"shift {shift}, degree {d}")
 
         sweep_summary: dict = {"degrees": {}}
         for d in exp_cfg.degrees:
@@ -380,18 +372,22 @@ def run_sweeps(cfg: dict, scenarios: list, bands: bool, out_dir: Path, force: bo
                 col: [row[col] for row in aggregates] for col in AGGREGATE_CSV_COLUMNS
             }
 
-        if bands:
-            for label, band_shift in CUBIC_BAND_TARGETS.items():
-                by_degree = pfp_bands(exp_cfg, band_shift)
-                for d, rows in by_degree.items():
-                    write_csv(sweep_dir / f"bands_{label}_d{d}.csv",
-                              BAND_CSV_COLUMNS, rows, resolved)
+        for label, band_shift in bands.items():
+            for d in exp_cfg.degrees:
+                try:
+                    rows = pfp_bands(dataclasses.replace(exp_cfg, degrees=(d,)), band_shift)[d]
+                except (CalibrationError, NumericError) as exc:
+                    failures.append(f"band {label} failed in sweep {tag or 'default'}, "
+                                    f"shift {band_shift}, degree {d}: {exc}")
+                    continue
+                write_csv(sweep_dir / f"bands_{label}_d{d}.csv", BAND_CSV_COLUMNS, rows,
+                          resolved)
 
         summary["sweeps"][tag or "default"] = sweep_summary
     write_json(out_dir / "summary.json", summary)
-    for where in all_failed:
-        print(f"error: every trial failed in {where}", file=sys.stderr)
-    return 1 if all_failed else 0
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("fit", "fit a coefficient likelihood to a CSV dataset"),
         ("transfer", "optimize the tempering exponent between two posteriors"),
         ("sweep", "run a configured shift sweep"),
-        ("repro-cubic", "cubic-truth domain-adaptation study"),
-        ("repro-ishigami", "task-adaptation study on the shifted Ishigami response"),
-        ("repro-subsurface-synthetic", "synthetic subsurface domain-adaptation study"),
+        *((command, STUDIES[study].description) for command, study in REPRO_COMMANDS.items()),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
@@ -441,13 +435,10 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config, args.set, SWEEP_KEYS)
-        if args.command in REPRO_COMMANDS:
-            scenario = REPRO_COMMANDS[args.command]
-            if cfg.get("scenario", scenario) != scenario:
-                raise UsageError(
-                    f"{args.command} fixes scenario={scenario!r}; drop the override"
-                )
-            cfg["scenario"] = scenario
+        scenario = REPRO_COMMANDS.get(args.command, cfg.get("scenario"))  # sweep: as set
+        if cfg.get("scenario", scenario) != scenario:
+            raise UsageError(f"{args.command} fixes scenario={scenario!r}; drop the override")
+        cfg["scenario"] = scenario
         if args.seed is not None:
             cfg["seed"] = args.seed
         return run_sweep_command(cfg, out_dir, workers=args.workers, force=args.force)

@@ -29,7 +29,7 @@ def _solve_factor(F: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve F X = B for a triangular QR or Cholesky factor F.
 
     numpy has no triangular solver, so every factor solve in the package is
-    LU on the factor, here; (L L^T)^-1 is assembled as L^-T L^-1.
+    LU on the factor, here.
     """
     return np.linalg.solve(F, B)
 
@@ -139,7 +139,10 @@ def likelihood_with_report(task: CalibrationTask,
     covariance is noise_var * (A^T A)^{-1} assembled from the R factor, and
     the condition number of A^T A comes from R's singular values.
     Ill-conditioning raises CalibrationError naming that condition number
-    unless an explicit ridge `jitter` > 0 is opted into.
+    unless an explicit ridge `jitter` > 0 is opted into.  The ridge is the
+    same QR solve with sqrt(jitter) * I appended to the design and zeros to
+    the targets, so R^T R = A^T A + jitter * I, whose condition number the
+    report then holds.
     """
     check_fit_settings(cond_ceiling, jitter)
     p = task.basis.n_terms
@@ -148,8 +151,12 @@ def likelihood_with_report(task: CalibrationTask,
             f"under-determined fit: {task.n_samples} samples for {p} coefficients"
         )
     A = vandermonde(task.basis, task.X)
-    Q, R = np.linalg.qr(A, mode="reduced")
-    # A = QR with orthonormal Q, so the p x p factor R has A's singular values.
+    system, targets = A, task.Y
+    if jitter > 0.0:
+        system = np.vstack([A, np.sqrt(jitter) * np.eye(p)])
+        targets = np.concatenate([task.Y, np.zeros(p)])
+    Q, R = np.linalg.qr(system, mode="reduced")
+    # system = QR with orthonormal Q, so the p x p factor R has its singular values.
     singvals = np.linalg.svd(R, compute_uv=False)
     if singvals[-1] == 0.0:
         raise CalibrationError("design matrix is rank deficient")
@@ -160,23 +167,15 @@ def likelihood_with_report(task: CalibrationTask,
             f"ceiling {cond_ceiling:.1e}"
         )
 
-    if jitter > 0.0:
-        L = np.linalg.cholesky(A.T @ A + jitter * np.eye(p))
-        L_inv = _solve_factor(L, np.eye(p))
-        mean = L_inv.T @ (L_inv @ (A.T @ task.Y))
-        gram_inv = L_inv.T @ L_inv
-    else:
-        mean = _solve_factor(R, Q.T @ task.Y)
-        Rinv = _solve_factor(R, np.eye(p))
-        gram_inv = Rinv @ Rinv.T
-
+    mean = _solve_factor(R, Q.T @ targets)
+    Rinv = _solve_factor(R, np.eye(p))
     resid = task.Y - A @ mean
     if task.noise_var is None:
         noise_var = max(float(np.mean(resid**2)), NOISE_VAR_FLOOR)
     else:
         noise_var = float(task.noise_var)
 
-    cov = noise_var * gram_inv
+    cov = noise_var * (Rinv @ Rinv.T)
     dist = GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
     report = {
         "n_samples": task.n_samples,
@@ -188,8 +187,6 @@ def likelihood_with_report(task: CalibrationTask,
     return dist, report
 
 
-def likelihood(task: CalibrationTask,
-               cond_ceiling: float = DEFAULT_COND_CEILING,
-               jitter: float = 0.0) -> GaussianDist:
+def likelihood(task: CalibrationTask) -> GaussianDist:
     """Gaussian likelihood over coefficients from a regression dataset."""
-    return likelihood_with_report(task, cond_ceiling=cond_ceiling, jitter=jitter)[0]
+    return likelihood_with_report(task)[0]

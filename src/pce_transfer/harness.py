@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,15 +31,16 @@ from .transfer import OBJECTIVES, TransferProblem, optimize_beta, tempered_poste
 
 SAMPLERS = ("uniform", "latin-hypercube")
 
-AGGREGATE_CSV_COLUMNS = (
-    "shift", "n_trials", "n_failed",
-    "beta_star_mean", "beta_star_sd",
-    "dlpfp_vs_b0_mean", "dlpfp_vs_b0_sd",
-    "dlpfp_vs_b1_mean", "dlpfp_vs_b1_sd",
-    "rmse_b0_mean", "rmse_b0_sd",
-    "rmse_bstar_mean", "rmse_bstar_sd",
-    "rmse_b1_mean", "rmse_b1_sd",
-)
+# Each per-record quantity that `aggregate_records` summarizes over a shift's
+# successful trials, as (column stem, value of one record), in column order.
+AGGREGATED = (("beta_star", lambda r: r.beta_star),
+              ("dlpfp_vs_b0", lambda r: r.lpfp_bstar - r.lpfp_b0),
+              ("dlpfp_vs_b1", lambda r: r.lpfp_bstar - r.lpfp_b1),
+              ("rmse_b0", lambda r: r.rmse_b0),
+              ("rmse_bstar", lambda r: r.rmse_bstar),
+              ("rmse_b1", lambda r: r.rmse_b1))
+AGGREGATE_CSV_COLUMNS = ("shift", "n_trials", "n_failed",
+                         *(f"{stem}_{stat}" for stem, _ in AGGREGATED for stat in ("mean", "sd")))
 
 BAND_CSV_COLUMNS = ("x", "mean", "lo", "hi", "beta_mode")
 
@@ -319,33 +321,19 @@ def run_shift(cfg_template: ExperimentConfig, shift: float,
     """
     cfg = cfg_template.with_shift(shift)
     trials = range(cfg.n_trials)
-    run = map if pool is None else pool.map
+    # About eight tasks per shift: a round trip per trial outweighs a short trial.
+    run = map if pool is None else partial(pool.map, chunksize=max(1, cfg.n_trials // 8))
     per_trial = list(run(run_trial, [cfg] * cfg.n_trials, trials))
     return {d: [per_trial[t][d] for t in trials] for d in cfg.degrees}
 
 
 def aggregate_records(shift: float, records: list[TrialRecord]) -> dict:
-    """Mean/sd summary of one shift's trials; failed trials are excluded."""
+    """Mean/sd of each `AGGREGATED` quantity over one shift; failed trials are excluded."""
     ok = [r for r in records if r.ok]
     row = {"shift": shift, "n_trials": len(records), "n_failed": len(records) - len(ok)}
-
-    def stats(values):
-        if not ok:
-            return float("nan"), float("nan")
-        arr = np.asarray(values, dtype=float)
-        return float(arr.mean()), float(arr.std())
-
-    row["beta_star_mean"], row["beta_star_sd"] = stats([r.beta_star for r in ok])
-    row["dlpfp_vs_b0_mean"], row["dlpfp_vs_b0_sd"] = stats(
-        [r.lpfp_bstar - r.lpfp_b0 for r in ok]
-    )
-    row["dlpfp_vs_b1_mean"], row["dlpfp_vs_b1_sd"] = stats(
-        [r.lpfp_bstar - r.lpfp_b1 for r in ok]
-    )
-    for tag in ("b0", "bstar", "b1"):
-        row[f"rmse_{tag}_mean"], row[f"rmse_{tag}_sd"] = stats(
-            [getattr(r, f"rmse_{tag}") for r in ok]
-        )
+    for stem, value in AGGREGATED:
+        arr = np.asarray([value(r) for r in ok] or [np.nan], dtype=float)  # none ok: NaN
+        row[f"{stem}_mean"], row[f"{stem}_sd"] = float(arr.mean()), float(arr.std())
     return row
 
 

@@ -2,9 +2,10 @@
 
 Each scenario function returns its shipped constants as a base
 `ExperimentConfig` plus its shift list, so the CLI and the acceptance suite
-run the same studies.  Study settings change through `dataclasses.replace`
-on the returned config, which `ExperimentConfig` validates; the CLI applies
-every `--set` override to every scenario that way.
+run the same studies.  `STUDIES` is the one table the CLI reads: each study
+name maps to its sweeps and band targets.  Study settings change through
+`dataclasses.replace` on a sweep's config, which `ExperimentConfig`
+validates; the CLI applies every `--set` override to every sweep that way.
 
 Two noise scales appear in every scenario: `noise_sd` is the injected
 observation noise, while `likelihood_noise_sd` is the noise scale assumed by
@@ -17,6 +18,8 @@ a finite density.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,3 +134,23 @@ def subsurface_scenario(sweep_param: str = "z2") -> tuple[ExperimentConfig, tupl
         likelihood_noise_sd=SUBSURFACE_LIKELIHOOD_NOISE_SD,
         lpfp_noise_var=SUBSURFACE_LIKELIHOOD_NOISE_SD**2,
     ), plan["shifts"]
+
+
+class Study(NamedTuple):
+    """A shipped study: its command's help line, its sweeps as (tag, config,
+    shifts), and its band exports as label -> shift (empty for none)."""
+
+    description: str
+    sweeps: tuple[tuple[str, ExperimentConfig, tuple], ...]
+    band_targets: dict[str, float]
+
+
+STUDIES = {
+    "cubic": Study("cubic-truth domain-adaptation study",
+                   (("", *cubic_scenario()),), CUBIC_BAND_TARGETS),
+    "ishigami": Study("task-adaptation study on the shifted Ishigami response",
+                      (("", *ishigami_scenario()),), {}),
+    "subsurface-synthetic": Study(
+        "synthetic subsurface domain-adaptation study",
+        tuple((tag, *subsurface_scenario(tag)) for tag in SUBSURFACE_SWEEPS), {}),
+}

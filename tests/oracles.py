@@ -6,7 +6,10 @@ adaptive cubature, the conjugate update through SciPy Cholesky solves, and
 expectations through Monte-Carlo sampling.  The objectives also have a direct
 matrix form here, one beta at a time, to check the package's whitened solver
 against, and tempering and correlation matrices have their plain definitions.
+The ridge regression mean has an exact rational solution.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -165,3 +168,25 @@ def quad_product_integral(a: GaussianDist, b: GaussianDist) -> float:
     if res.status != "converged":
         raise RuntimeError(f"product-integral cubature did not converge: {res.error}")
     return float(res.estimate)
+
+
+def exact_ridge_mean(A: np.ndarray, Y: np.ndarray, jitter: float) -> np.ndarray:
+    """(A^T A + jitter I)^-1 A^T Y in exact rational arithmetic, rounded once at the end.
+
+    Gauss-Jordan elimination on the augmented normal equations over
+    `fractions.Fraction`, so the only error is the final rounding to doubles.
+    """
+    rows = [[Fraction(v) for v in row] for row in A]
+    ys = [Fraction(v) for v in Y]
+    p = A.shape[1]
+    M = [[sum(r[a] * r[b] for r in rows) + (Fraction(jitter) if a == b else 0)
+          for b in range(p)] + [sum(r[a] * y for r, y in zip(rows, ys))]
+         for a in range(p)]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if M[r][c] != 0)
+        M[c], M[pivot] = M[pivot], M[c]
+        for r in range(p):
+            if r != c and M[r][c] != 0:
+                factor = M[r][c] / M[c][c]
+                M[r] = [x - factor * y for x, y in zip(M[r], M[c])]
+    return np.array([float(M[a][p] / M[a][a]) for a in range(p)])

@@ -144,6 +144,14 @@ class TestFit:
         assert "jitter non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_point_outside_the_bounds_exits_2_without_output(self, cubic_dataset, tmp_path,
+                                                             capsys):
+        # The dataset spans [-0.2, 0.3]; a malformed dataset is a usage error.
+        out = tmp_path / "out"
+        assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", "upper=[0.1]"])) == 2
+        assert "lies outside the box" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_exits_2_naming_the_row(self, tmp_path, capsys, cell):
         X = np.linspace(-0.2, 0.3, 5)
@@ -433,7 +441,7 @@ class TestRepro:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
                 self.maps += 1
                 return map(fn, *iterables)
 
@@ -474,13 +482,20 @@ REJECTED_SWEEP_SETTINGS = [
     "noise_sd=1e-200 likelihood_noise_sd=null", "noise_sd=1e200 likelihood_noise_sd=null",
     "sampler=sobol",
     'shifts=["a"]', "shifts=[true]", "shifts=[NaN]", "shifts=[1e400]", "shifts=0.5",
-    "sweep_param=z2", "bands=1", 'bands="yes"',
+    "sweep_param=z2", 'sweep_param=["z2"]', "bands=1", 'bands="yes"',
 ]
 
 
 class TestSweepCommand:
     def test_generic_sweep_requires_scenario(self, tmp_path):
         assert run_cli("sweep", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("scenario", ['["cubic"]', '{"cubic":1}', "null", "cubes"])
+    def test_unknown_scenario_exits_2_without_output(self, tmp_path, capsys, scenario):
+        out = tmp_path / "x"
+        assert run_cli("sweep", "--out", str(out), "--set", f"scenario={scenario}") == 2
+        assert capsys.readouterr().err.startswith("error: scenario must be one of")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["repro-cubic", "repro-ishigami"])
     @pytest.mark.parametrize("setting", REJECTED_SWEEP_SETTINGS)
@@ -541,6 +556,23 @@ class TestSweepCommand:
         assert "sweep default, shift 200.0, degree 3" in err
         assert "shift 0.0" not in err
 
+    def test_failed_band_fit_writes_every_other_output_and_exits_1(self, tmp_path, capsys):
+        # Every trial fits, but at band A (shift 2.5) the five degree-4 target
+        # points leave the normal equations past the conditioning ceiling.
+        out = tmp_path / "run"
+        code = run_cli("repro-cubic", "--out", str(out), "--set", "degrees=[4]",
+                       "--set", "n_target=5", "--set", "n_source=20", "--set", "n_trials=3",
+                       "--set", "shifts=[0.0]")
+        assert code == 1
+        files = set(output_files(out))
+        assert {"trials_d4.csv", "aggregate_d4.csv", "summary.json", "bands_B_d4.csv",
+                "bands_C_d4.csv", "bands_D_d4.csv"} <= files
+        assert "bands_A_d4.csv" not in files
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: band A failed in sweep default, shift 2.5, degree 4: ")
+        assert "exceeds ceiling" in err[0]
+
     def test_ishigami_summary_contains_beta_and_rmse_columns(self, tmp_path):
         out = tmp_path / "ish"
         code = run_cli("repro-ishigami", "--out", str(out),
@@ -555,7 +587,7 @@ class TestSweepCommand:
                     "rmse_b1_mean"):
             assert len(table[col]) == 2
 
-    @pytest.mark.parametrize("param", ["z3", '["z2"]', "null"])
+    @pytest.mark.parametrize("param", ["z3", '["z2"]', '{"z2":1}', "null"])
     def test_unknown_subsurface_sweep_param_exits_2(self, tmp_path, param):
         out = tmp_path / "sub"
         code = run_cli("repro-subsurface-synthetic", "--out", str(out),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pce_transfer.basis import BasisSpec, DomainBox
 from pce_transfer.errors import CalibrationError, NumericError
-from oracles import log_pdf
+from oracles import exact_ridge_mean, log_pdf
 from pce_transfer.gaussian import (
     CalibrationTask,
     GaussianDist,
@@ -138,7 +138,7 @@ class TestLikelihood:
         X = np.array([[0.5], [0.5], [0.5], [0.500000001], [0.5000000005]])
         task = CalibrationTask(spec, X, np.zeros(5), noise_var=1.0)
         with pytest.raises(ValueError, match="cond_ceiling must be positive and jitter"):
-            likelihood(task, **settings)
+            likelihood_with_report(task, **settings)
 
     @pytest.mark.parametrize("noise_var", ["x", [1.0], True, 0.0, -1.0, float("nan"),
                                            float("inf")])
@@ -151,7 +151,7 @@ class TestLikelihood:
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 3)
         X = np.array([[0.5], [0.5], [0.5], [0.500000001], [0.5000000005]])
         task = CalibrationTask(spec, X, np.zeros(5), noise_var=1.0)
-        lik = likelihood(task, jitter=1e-6)
+        lik = likelihood_with_report(task, jitter=1e-6)[0]
         assert np.all(np.isfinite(lik.cov))
 
     def test_jitter_fit_is_the_ridge_solution(self):
@@ -161,11 +161,30 @@ class TestLikelihood:
         spec = BasisSpec.total_order(DomainBox(np.zeros(2), np.ones(2)), 3)
         X = rng.uniform(0, 1, size=(30, 2))
         Y = rng.normal(size=30)
-        lik = likelihood(CalibrationTask(spec, X, Y, noise_var=0.5), jitter=0.1)
+        lik, report = likelihood_with_report(CalibrationTask(spec, X, Y, noise_var=0.5),
+                                             jitter=0.1)
         A = vandermonde(spec, X)
         gram = A.T @ A + 0.1 * np.eye(spec.n_terms)
         np.testing.assert_allclose(lik.mean, np.linalg.solve(gram, A.T @ Y), rtol=1e-10)
         np.testing.assert_allclose(lik.cov, 0.5 * np.linalg.inv(gram), rtol=1e-10, atol=1e-14)
+        assert report["condition_number"] == pytest.approx(np.linalg.cond(gram), rel=1e-8)
+
+    @pytest.mark.parametrize("jitter", [1e-6, 1e-9, 1e-12])
+    def test_ridge_on_clustered_design_matches_exact_solution(self, jitter):
+        # Twelve points in 2% of the box at degree 7: cond(A^T A) is about
+        # 2e28, so a Cholesky factor of A^T A + jitter I loses about
+        # cond * eps, 7e-6 relative at jitter 1e-9.  QR of the design with
+        # sqrt(jitter) I appended measured 5e-14, 6e-12 and 8e-11.
+        from pce_transfer.basis import vandermonde
+
+        rng = np.random.default_rng(0)
+        spec = BasisSpec.total_order(DomainBox(np.zeros(1), np.ones(1)), 7)
+        X = rng.uniform(0.5, 0.52, size=(12, 1))
+        Y = np.sin(3.0 * X[:, 0])
+        lik, _ = likelihood_with_report(CalibrationTask(spec, X, Y, noise_var=1.0),
+                                        jitter=jitter)
+        exact = exact_ridge_mean(vandermonde(spec, X), Y, jitter)
+        assert np.linalg.norm(lik.mean - exact) <= 1e-9 * np.linalg.norm(exact)
 
     @pytest.mark.parametrize("n_samples", [57, 200])
     def test_condition_number_matches_design_svd(self, n_samples):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pce_transfer.basis import BasisSpec, DomainBox
 from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
 from pce_transfer.harness import (
+    AGGREGATE_CSV_COLUMNS,
     ExperimentConfig,
     aggregate_records,
     derive_seed,
@@ -318,6 +319,30 @@ class TestTrialIndependenceAndSweep:
         with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
             parallel = run_shift(cfg, 0.5, pool=pool)
         assert parallel == run_shift(cfg, 0.5)
+
+    def test_pool_gets_the_trials_in_about_eight_tasks(self):
+        # One round trip per trial outweighed the short cubic and Ishigami
+        # trials; a shift of two trials still sends one trial per task.
+        chunks = []
+
+        class RecordingPool:
+            def map(self, fn, *iterables, chunksize=1):
+                chunks.append(chunksize)
+                return map(fn, *iterables)
+
+        cfg = small_cubic_cfg(degrees=(1,), n_val=5)
+        for n_trials in (2, 16, 17):
+            run_shift(dataclasses.replace(cfg, n_trials=n_trials), 0.0, pool=RecordingPool())
+        assert chunks == [1, 2, 2]
+
+    def test_aggregate_row_holds_the_csv_columns_in_order(self):
+        from pce_transfer.harness import _failed_record
+
+        records = run_shift(small_cubic_cfg(n_trials=2), 0.0)[3]
+        assert tuple(aggregate_records(0.0, records)) == AGGREGATE_CSV_COLUMNS
+        failed = aggregate_records(0.0, [_failed_record(0, 0.0, "synthetic")])
+        assert tuple(failed) == AGGREGATE_CSV_COLUMNS
+        assert all(np.isnan(failed[c]) for c in AGGREGATE_CSV_COLUMNS[3:])
 
     def test_aggregate_excludes_failed_trials(self):
         from pce_transfer.harness import TrialRecord, _failed_record
