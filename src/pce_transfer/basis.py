@@ -10,7 +10,6 @@ per dimension and degree), and inputs map onto [-1, 1]^n per dimension affinely.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +31,12 @@ def n_pce(n: int, d: int) -> int:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    count = math.comb(n + d, d)
-    if count > 2**53:
-        raise OverflowError(f"basis size {count} exceeds the representable range")
+    count = 1  # comb(max(n, d) + k, k) grows with k, so past 2**53 this stops within 54 steps
+    for k in range(1, min(n, d) + 1):
+        count = count * (max(n, d) + k) // k
+        if count > 2**53:
+            raise ValueError(f"basis size at dimension {n}, degree {d} exceeds the "
+                             "representable range")
     return count
 
 

@@ -18,19 +18,21 @@ import argparse
 import csv
 import dataclasses
 import gc
+import io
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisSpec, to_reference
+from .basis import BasisSpec, n_pce, to_reference
 from .errors import CalibrationError, DomainError, NumericError, finite_real, integer
 from .gaussian import (
     DEFAULT_COND_CEILING,
     CalibrationTask,
     GaussianDist,
     check_fit_settings,
+    check_sample_count,
     likelihood_with_report,
 )
 from .harness import (
@@ -52,9 +54,6 @@ from .transfer import (
 
 REPRO_COMMANDS = {f"repro-{name}": name for name in STUDIES}
 
-FIT_KEYS = {"dataset", "dimension", "degree", "lower", "upper", "noise_var",
-            "cond_ceiling", "jitter"}
-TRANSFER_KEYS = {"source", "target", "objective", "scan_points", "beta_floor"}
 # The ExperimentConfig fields a sweep may override; it validates them.
 EXPERIMENT_KEYS = ("n_trials", "seed", "objective", "degrees", "noise_sd",
                    "likelihood_noise_sd", "lpfp_noise_var", "n_source", "n_target",
@@ -70,18 +69,29 @@ class UsageError(Exception):
 # Config plumbing
 # ---------------------------------------------------------------------------
 
+def read_input(path: str, kind: str) -> str:
+    """The text of a user-supplied input file; one that cannot be read is a usage error."""
+    try:
+        with open(str(path), newline="") as fh:  # str: a number would open a file descriptor
+            return fh.read()
+    except FileNotFoundError as exc:
+        raise UsageError(f"{kind} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, binary data
+        raise UsageError(f"{kind} cannot be read: {path} ({type(exc).__name__})") from exc
+
+
+def read_json_object(path: str, kind: str) -> dict:
+    try:
+        payload = json.loads(read_input(path, kind))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{kind} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UsageError(f"{kind} {path} must hold a JSON object")
+    return payload
+
+
 def load_config(path: str | None, overrides: list[str], allowed: set[str]) -> dict:
-    cfg = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                cfg = json.load(fh)
-        except FileNotFoundError as exc:
-            raise UsageError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise UsageError("config file must hold a JSON object")
+    cfg = {} if path is None else read_json_object(path, "config file")
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -93,9 +103,7 @@ def load_config(path: str | None, overrides: list[str], allowed: set[str]) -> di
         cfg[key.strip()] = value
     unknown = set(cfg) - allowed
     if unknown:
-        raise UsageError(
-            f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
+        raise UsageError(f"unknown config keys {sorted(unknown)}; allowed: {sorted(allowed)}")
     return cfg
 
 
@@ -103,39 +111,45 @@ def canonical_config_line(cfg: dict) -> str:
     return "# config " + json.dumps(cfg, sort_keys=True, separators=(",", ":"))
 
 
-def write_csv(path: Path, columns, rows, cfg: dict):
+def write_text(path: Path, text: str):
+    """Write path whole: the text goes to a sibling temporary file that then replaces it."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(canonical_config_line(cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(text, newline="")
+    partial.replace(path)
 
 
-def read_trial_csv(path: Path, config_line: str) -> list[TrialRecord] | None:
-    """Records of a trial CSV written under config_line.
-
-    None when the file is absent or was written under another configuration,
-    so a stale shard is recomputed rather than reused.
-    """
-    if not path.exists():
-        return None
-    with open(path, newline="") as fh:
-        if fh.readline().rstrip("\n") != config_line:
-            return None
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRIAL_CSV_COLUMNS:
-            raise UsageError(f"{path} has unexpected columns {header}")
-        return [TrialRecord(int(trial), *map(float, scores), status=status)
-                for trial, *scores, status in reader]
+def write_csv(path: Path, columns, rows, cfg: dict):
+    buffer = io.StringIO(newline="")
+    buffer.write(canonical_config_line(cfg) + "\n")
+    csv.writer(buffer).writerows([columns, *rows])
+    write_text(path, buffer.getvalue())
 
 
 def write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_trial_csv(path: Path, config_line: str, n_trials: int) -> list[TrialRecord] | None:
+    """The records of a whole shard written under config_line, or None.
+
+    A shard is whole when it ends with a full line and holds trials
+    0 .. n_trials - 1, in order, each with every column.  None, for a shard
+    that is absent, stale or not whole, has its shift recomputed.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+        head, _, body = text.partition("\n")
+        header, *rows = csv.reader(io.StringIO(body, newline=""))
+        if (head != config_line or not text.endswith("\n") or header != list(TRIAL_CSV_COLUMNS)
+                or [row[:1] for row in rows] != [[str(t)] for t in range(n_trials)]
+                or any(len(row) != len(header) for row in rows)):
+            return None
+        return [TrialRecord(int(trial), *map(float, scores), status=status)
+                for trial, *scores, status in rows]
+    except (FileNotFoundError, ValueError, csv.Error):  # ValueError: bad bytes, cells or rows
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +162,7 @@ def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     A single leading header row of non-numeric cells is tolerated; every
     other row must hold dimension + 1 finite numbers.
     """
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError as exc:
-        raise UsageError(f"dataset not found: {path}") from exc
+    rows = list(csv.reader(io.StringIO(read_input(path, "dataset"), newline="")))
     if not rows:
         raise UsageError(f"dataset {path} is empty")
 
@@ -170,8 +180,7 @@ def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
             continue
         if len(row) != dimension + 1:
             raise UsageError(
-                f"dataset {path} row {i}: expected {dimension + 1} columns, got {len(row)}"
-            )
+                f"dataset {path} row {i}: expected {dimension + 1} columns, got {len(row)}")
         try:
             values = parse(row)
         except ValueError as exc:
@@ -186,12 +195,11 @@ def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_fit(cfg: dict, out_dir: Path) -> int:
-    for key in ("dataset", "dimension", "degree", "lower", "upper"):
-        if key not in cfg:
-            raise UsageError(f"fit config requires {key!r}")
     try:
+        n_terms = n_pce(*(integer(key, cfg[key], low=0) for key in ("dimension", "degree")))
+        X, Y = load_dataset(cfg["dataset"], cfg["dimension"])
+        check_sample_count(len(Y), n_terms)  # before the index set, which can take seconds
         spec = BasisSpec.from_config(cfg)
-        X, Y = load_dataset(cfg["dataset"], spec.box.dimension)
         to_reference(spec.box, X)  # a point outside lower/upper raises DomainError
         task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
         cond_ceiling = cfg.get("cond_ceiling", DEFAULT_COND_CEILING)
@@ -200,12 +208,8 @@ def cmd_fit(cfg: dict, out_dir: Path) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid fit config: {exc}") from exc
     dist, report = likelihood_with_report(task, cond_ceiling=cond_ceiling, jitter=jitter)
-    write_json(out_dir / "posterior.json", {
-        "config": cfg,
-        "basis": spec.to_config(),
-        "posterior": dist.to_record(),
-        "report": report,
-    })
+    write_json(out_dir / "posterior.json", {"config": cfg, "basis": spec.to_config(),
+                                            "posterior": dist.to_record(), "report": report})
     return 0
 
 
@@ -214,15 +218,7 @@ def cmd_fit(cfg: dict, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def load_posterior_artifact(path: str) -> GaussianDist:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"posterior artifact not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"posterior artifact {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "posterior" not in payload:
-        raise UsageError(f"posterior artifact {path} lacks a 'posterior' record")
+    payload = read_json_object(path, "posterior artifact")
     try:
         return GaussianDist.from_record(payload["posterior"])
     except (KeyError, TypeError, ValueError, NumericError) as exc:
@@ -230,15 +226,10 @@ def load_posterior_artifact(path: str) -> GaussianDist:
 
 
 def cmd_transfer(cfg: dict, out_dir: Path) -> int:
-    for key in ("source", "target", "objective"):
-        if key not in cfg:
-            raise UsageError(f"transfer config requires {key!r}")
     source = load_posterior_artifact(cfg["source"])
     target = load_posterior_artifact(cfg["target"])
     if source.dim != target.dim:
-        raise UsageError(
-            f"artifact dimensions differ: source {source.dim}, target {target.dim}"
-        )
+        raise UsageError(f"artifact dimensions differ: source {source.dim}, target {target.dim}")
     try:
         prob = TransferProblem(source, target, str(cfg["objective"]))
         scan_points = integer("scan_points", cfg.get("scan_points", DEFAULT_SCAN_POINTS), low=2)
@@ -248,11 +239,8 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = optimize_beta(prob, scan_points=scan_points, beta_floor=beta_floor)
-    write_json(out_dir / "beta_result.json", {
-        "config": cfg,
-        "objective": prob.objective,
-        **result.to_record(),
-    })
+    write_json(out_dir / "beta_result.json",
+               {"config": cfg, "objective": prob.objective, **result.to_record()})
     return 0
 
 
@@ -341,7 +329,8 @@ def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bo
                 for d in exp_cfg.degrees
             }
             by_degree = {} if force else {
-                d: read_trial_csv(p, config_line) for d, p in shard_paths.items()
+                d: read_trial_csv(p, config_line, exp_cfg.n_trials)
+                for d, p in shard_paths.items()
             }
             if not by_degree or None in by_degree.values():
                 try:
@@ -375,7 +364,7 @@ def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bo
         for label, band_shift in bands.items():
             for d in exp_cfg.degrees:
                 try:
-                    rows = pfp_bands(dataclasses.replace(exp_cfg, degrees=(d,)), band_shift)[d]
+                    rows = pfp_bands(exp_cfg, band_shift, d)
                 except (CalibrationError, NumericError) as exc:
                     failures.append(f"band {label} failed in sweep {tag or 'default'}, "
                                     f"shift {band_shift}, degree {d}: {exc}")
@@ -394,6 +383,14 @@ def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bo
 # Entry point
 # ---------------------------------------------------------------------------
 
+# The commands that read files: each one's function, required keys and optional keys.
+FILE_COMMANDS = {
+    "fit": (cmd_fit, ("dataset", "dimension", "degree", "lower", "upper"),
+            ("noise_var", "cond_ceiling", "jitter")),
+    "transfer": (cmd_transfer, ("source", "target", "objective"), ("scan_points", "beta_floor")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pce-transfer",
@@ -411,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable; value parsed as JSON)")
-        if name in ("fit", "transfer"):
+        if name in FILE_COMMANDS:
             continue
         p.add_argument("--workers", type=int, default=1,
                        help="processes that run the trials (default 1: this one)")
@@ -426,12 +423,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = Path(args.out) if args.out else Path("runs") / args.command
     try:
-        if args.command == "fit":
-            cfg = load_config(args.config, args.set, FIT_KEYS)
-            return cmd_fit(cfg, out_dir)
-        if args.command == "transfer":
-            cfg = load_config(args.config, args.set, TRANSFER_KEYS)
-            return cmd_transfer(cfg, out_dir)
+        if args.command in FILE_COMMANDS:
+            run, required, optional = FILE_COMMANDS[args.command]
+            cfg = load_config(args.config, args.set, {*required, *optional})
+            for key in required:
+                if key not in cfg:
+                    raise UsageError(f"{args.command} config requires {key!r}")
+            return run(cfg, out_dir)
         if args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config, args.set, SWEEP_KEYS)

@@ -130,6 +130,13 @@ def check_fit_settings(cond_ceiling: float, jitter: float):
                          f"got {cond_ceiling!r} and {jitter!r}")
 
 
+def check_sample_count(n_samples: int, n_terms: int):
+    """Reject a fit with fewer samples than coefficients."""
+    if n_samples < n_terms:
+        raise CalibrationError(
+            f"under-determined fit: {n_samples} samples for {n_terms} coefficients")
+
+
 def likelihood_with_report(task: CalibrationTask,
                            cond_ceiling: float = DEFAULT_COND_CEILING,
                            jitter: float = 0.0) -> tuple[GaussianDist, dict]:
@@ -146,10 +153,7 @@ def likelihood_with_report(task: CalibrationTask,
     """
     check_fit_settings(cond_ceiling, jitter)
     p = task.basis.n_terms
-    if task.n_samples < p:
-        raise CalibrationError(
-            f"under-determined fit: {task.n_samples} samples for {p} coefficients"
-        )
+    check_sample_count(task.n_samples, p)
     A = vandermonde(task.basis, task.X)
     system, targets = A, task.Y
     if jitter > 0.0:

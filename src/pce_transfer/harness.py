@@ -269,8 +269,7 @@ def mode_predictions(prob: TransferProblem, beta_star: float, design: Design,
     G = design.matrix @ prob.frame.F
     for tag, beta in (("bstar", beta_star), ("b1", 1.0)):
         z, var = prob.frame.whitened(beta)
-        preds[tag] = preds["b0"] if beta == 0.0 else PfpPrediction(
-            design.points, G @ z, (G * G) @ var + noise_var)
+        preds[tag] = preds["b0"] if beta == 0.0 else PfpPrediction(G @ z, (G * G) @ var + noise_var)
     return preds
 
 
@@ -337,9 +336,9 @@ def aggregate_records(shift: float, records: list[TrialRecord]) -> dict:
     return row
 
 
-def pfp_bands(cfg_template: ExperimentConfig, shift: float,
-              n_grid: int = 121) -> dict[int, list[tuple]]:
-    """Plot-ready mean +/- 2 sd bands over the encompassing interval.
+def pfp_bands(cfg_template: ExperimentConfig, shift: float, degree: int,
+              n_grid: int = 121) -> list[tuple]:
+    """Plot-ready mean +/- 2 sd bands of one degree over the encompassing interval.
 
     Trial 0 represents the shift; rows are (x, mean, lo, hi, beta_mode)
     with beta_mode in {b0, bstar, b1}.  One-dimensional scenarios only.
@@ -347,16 +346,12 @@ def pfp_bands(cfg_template: ExperimentConfig, shift: float,
     cfg = cfg_template.with_shift(shift)
     if cfg.model.dimension != 1:
         raise ValueError("band export is defined for one-dimensional inputs")
-    data = trial_data(cfg, 0)
     ref_box = cfg.reference_box()
     grid = np.linspace(ref_box.lower[0], ref_box.upper[0], n_grid).reshape(-1, 1)
-    out: dict[int, list[tuple]] = {}
-    for degree in cfg.degrees:
-        _, preds = _predict_modes(cfg, data, degree, grid)
-        rows = []
-        for tag, pred in preds.items():
-            sd = np.sqrt(np.maximum(pred.marginal_var, 0.0))
-            for x, m, s in zip(grid[:, 0], pred.mean, sd):
-                rows.append((float(x), float(m), float(m - 2 * s), float(m + 2 * s), tag))
-        out[degree] = rows
-    return out
+    _, preds = _predict_modes(cfg, trial_data(cfg, 0), degree, grid)
+    rows = []
+    for tag, pred in preds.items():
+        sd = np.sqrt(np.maximum(pred.marginal_var, 0.0))
+        rows.extend((float(x), float(m), float(m - 2 * s), float(m + 2 * s), tag)
+                    for x, m, s in zip(grid[:, 0], pred.mean, sd))
+    return rows

@@ -13,7 +13,7 @@ Scores are the summed per-point marginal log-densities and the plain RMSE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,22 +28,18 @@ MARGINAL_VAR_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class PfpPrediction:
-    """Per-point Gaussian marginals of the outputs at a list of evaluation points."""
+    """Per-point Gaussian marginals of the outputs at a design's points, in its order."""
 
-    points: np.ndarray
     mean: np.ndarray
     marginal_var: np.ndarray
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
         mean = np.asarray(self.mean, dtype=float).ravel()
         var = np.asarray(self.marginal_var, dtype=float).ravel()
-        m = points.shape[0]
-        if mean.shape[0] != m or var.shape[0] != m:
-            raise ValueError("points, mean, and marginal_var sizes disagree")
-        for arr in (points, mean, var):
+        if mean.shape != var.shape:
+            raise ValueError("mean and marginal_var sizes disagree")
+        for arr in (mean, var):
             arr.flags.writeable = False
-        object.__setattr__(self, "points", points)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "marginal_var", var)
 
@@ -53,12 +49,11 @@ class Design:
     """The design matrix of a basis at a list of points, built once and shared."""
 
     basis: BasisSpec
-    points: np.ndarray
+    points: InitVar[np.ndarray]  # read once, to build the matrix; no score needs them
     matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", np.atleast_2d(np.asarray(self.points, dtype=float)))
-        object.__setattr__(self, "matrix", vandermonde(self.basis, self.points))
+    def __post_init__(self, points):
+        object.__setattr__(self, "matrix", vandermonde(self.basis, np.atleast_2d(points)))
 
 
 def pushforward(posterior: GaussianDist, design: Design,
@@ -77,7 +72,7 @@ def pushforward(posterior: GaussianDist, design: Design,
         )
     B = A @ posterior.chol
     var = np.einsum("ij,ij->i", B, B) + noise_var
-    return PfpPrediction(points=design.points, mean=A @ posterior.mean, marginal_var=var)
+    return PfpPrediction(mean=A @ posterior.mean, marginal_var=var)
 
 
 def lpfp(pred: PfpPrediction, y_obs) -> float:

@@ -48,8 +48,17 @@ class TestNPce:
             n_pce(2, -1)
 
     def test_overflow_is_explicit(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="exceeds the representable range"):
             n_pce(60, 60)
+
+    @pytest.mark.parametrize("n,d", [(10**6, 10**6), (2, 10**9)])
+    def test_huge_basis_is_rejected_without_the_full_product(self, n, d):
+        # math.comb(2 * 10**6, 10**6) alone takes tens of seconds.
+        with pytest.raises(ValueError, match="exceeds the representable range"):
+            n_pce(n, d)
+
+    def test_huge_dimension_at_degree_one(self):
+        assert n_pce(10**9, 1) == 10**9 + 1
 
 
 class TestDomainBox:

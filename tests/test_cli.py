@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pce_transfer
-from pce_transfer import cli, harness
+from pce_transfer import basis, cli, harness
 from pce_transfer.cli import main
 from pce_transfer.models import cubic_truth
 
@@ -113,6 +113,33 @@ class TestFit:
         code = run_cli(*fit_args(data, out))
         assert code == 1
         assert not (out / "posterior.json").exists()
+
+    def test_too_few_samples_exit_1_before_the_basis_is_built(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # At degree 40 in five dimensions the index set takes seconds to build;
+        # three samples are too few whatever it holds.
+        def never(n, d):
+            raise AssertionError(f"built the ({n}, {d}) index set")
+
+        monkeypatch.setattr(basis, "_total_order_indices", never)
+        data = tmp_path / "three.csv"
+        write_dataset(data, np.full((3, 5), 0.5), [0.0, 1.0, 2.0])
+        out = tmp_path / "out"
+        code = run_cli("fit", "--out", str(out), "--set", f"dataset={data}",
+                       "--set", "dimension=5", "--set", "degree=40",
+                       "--set", "lower=[0,0,0,0,0]", "--set", "upper=[1,1,1,1,1]")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: under-determined fit: 3 samples for 1221759 coefficients\n")
+        assert not out.exists()
+
+    def test_basis_size_past_2_to_the_53_exits_2_without_output(self, cubic_dataset, tmp_path,
+                                                               capsys):
+        out = tmp_path / "out"
+        extra = ["--set", "dimension=5", "--set", "degree=100000"]
+        assert run_cli(*fit_args(cubic_dataset, out, extra=extra)) == 2
+        assert "exceeds the representable range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refit_is_byte_identical(self, cubic_dataset, tmp_path):
         out1 = tmp_path / "a"
@@ -270,6 +297,104 @@ class TestTransfer:
                        "--set", f"source={art3}", "--set", f"target={art1}",
                        "--set", "objective=EDF")
         assert code == 2
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("role", ["config", "dataset", "source", "target"])
+    def test_directory_exits_2_without_output(self, cubic_dataset, tmp_path, capsys, role):
+        assert run_cli(*fit_args(cubic_dataset, tmp_path / "fit")) == 0
+        capsys.readouterr()
+        art, folder, out = tmp_path / "fit" / "posterior.json", tmp_path / "folder", tmp_path / "out"
+        folder.mkdir()
+        paths = {"source": art, "target": art, role: folder}
+        args = fit_args(folder, out) if role == "dataset" else [
+            "transfer", "--out", str(out), "--set", f"source={paths['source']}",
+            "--set", f"target={paths['target']}", "--set", "objective=EDF",
+            *(["--config", str(folder)] if role == "config" else [])]
+        assert run_cli(*args) == 2
+        assert f"cannot be read: {folder} (IsADirectoryError)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "transfer", "repro-cubic"])
+    def test_missing_config_exits_2_naming_it(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.json"
+        assert run_cli(command, "--out", str(tmp_path / "out"), "--config", str(missing)) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_dataset_given_as_a_number_names_a_file_not_a_descriptor(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # open(0) would read this process's standard input.
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*fit_args(0, tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: dataset not found: 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_text_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bytes.json"
+        config.write_bytes(b"\xff\xfe\x00")
+        assert run_cli("repro-cubic", "--out", str(tmp_path / "out"), "--config", str(config)) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file cannot be read: {config} (UnicodeDecodeError)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text("[1, 2]")
+        assert run_cli("fit", "--out", str(tmp_path / "out"), "--config", str(config)) == 2
+        assert capsys.readouterr().err == f"error: config file {config} must hold a JSON object\n"
+
+    @pytest.mark.parametrize("command,missing", [("fit", "dataset"), ("transfer", "source")])
+    def test_required_key_missing_exits_2(self, tmp_path, capsys, command, missing):
+        assert run_cli(command, "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {command} config requires {missing!r}\n"
+
+
+class TestWholeFiles:
+    def test_a_failed_write_leaves_the_previous_file_whole(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ("a",), [[1]], {})
+        before = path.read_bytes()
+
+        def rows():
+            yield [2]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_csv(path, ("a",), rows(), {})
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["t.csv"]
+
+    @pytest.mark.parametrize("cut", ["last-row", "mid-line"])
+    def test_resume_recomputes_a_shard_that_is_not_whole(self, tmp_path, cut):
+        args = ["repro-ishigami", "--set", "n_trials=2", "--set", "shifts=[0.0,0.5]",
+                "--set", "n_val=20"]
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run_cli(*args, "--out", str(fresh)) == 0
+        assert run_cli(*args, "--out", str(out)) == 0
+        shard = out / "shards" / "shift_001_d3.csv"
+        whole = shard.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        shard.write_bytes(b"".join(lines[:-1]) if cut == "last-row" else whole[:-20])
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert output_files(out) == output_files(fresh)
+
+    @pytest.mark.parametrize("edit", ["reorder", "extra-row", "no-header", "blank-cell"])
+    def test_shard_that_is_not_trials_0_to_n_is_recomputed(self, tmp_path, edit):
+        out = tmp_path / "run"
+        args = tiny_repro_args(out, extra=["--set", "n_trials=2", "--set", "bands=false"])
+        assert run_cli(*args) == 0
+        shard = out / "shards" / "shift_000_d1.csv"
+        whole = shard.read_bytes()
+        config, header, first, second = whole.splitlines(keepends=True)
+        shard.write_bytes({
+            "reorder": config + header + second + first,
+            "extra-row": whole + second.replace(b"1,", b"2,", 1),
+            "no-header": config + first + second,
+            "blank-cell": config + header + first + second.replace(b"1,0.0,", b"1,,", 1),
+        }[edit])
+        assert run_cli(*args) == 0
+        assert shard.read_bytes() == whole
 
 
 def tiny_repro_args(out, extra=()):
@@ -572,6 +697,14 @@ class TestSweepCommand:
         assert len(err) == 1
         assert err[0].startswith("error: band A failed in sweep default, shift 2.5, degree 4: ")
         assert "exceeds ceiling" in err[0]
+
+    def test_basis_size_past_2_to_the_53_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "ish"
+        code = run_cli("repro-ishigami", "--out", str(out), "--set", "n_trials=1",
+                       "--set", "shifts=[0.0]", "--set", "degrees=[1000000000]")
+        assert code == 2
+        assert "exceeds the representable range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ishigami_summary_contains_beta_and_rmse_columns(self, tmp_path):
         out = tmp_path / "ish"

@@ -361,8 +361,8 @@ class TestBands:
 
         cfg = small_cubic_cfg(degrees=(1, 3))
         for label, shift in CUBIC_BAND_TARGETS.items():
-            by_degree = pfp_bands(cfg, shift, n_grid=41)
-            for degree, rows in by_degree.items():
+            for degree in cfg.degrees:
+                rows = pfp_bands(cfg, shift, degree, n_grid=41)
                 arr = np.array([r[:4] for r in rows], dtype=float)
                 assert np.all(np.isfinite(arr)), (label, degree)
                 modes = {r[4] for r in rows}
@@ -370,10 +370,14 @@ class TestBands:
 
     def test_band_rows_cover_grid(self):
         cfg = small_cubic_cfg()
-        rows = pfp_bands(cfg, 0.0, n_grid=17)[3]
+        rows = pfp_bands(cfg, 0.0, 3, n_grid=17)
         assert len(rows) == 3 * 17
+
+    def test_rows_of_a_degree_do_not_depend_on_the_configured_degrees(self):
+        rows = pfp_bands(small_cubic_cfg(degrees=(1, 2, 3)), 0.4, 2, n_grid=9)
+        assert rows == pfp_bands(small_cubic_cfg(degrees=(2,)), 0.4, 2, n_grid=9)
 
     def test_multidimensional_scenario_rejected(self):
         cfg = dataclasses.replace(ishigami_scenario()[0], n_trials=1)
         with pytest.raises(ValueError):
-            pfp_bands(cfg, 0.0)
+            pfp_bands(cfg, 0.0, 3)

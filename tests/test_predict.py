@@ -1,5 +1,7 @@
 """Tests for pushed-forward predictions and scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,22 @@ UNIT_BOX = DomainBox(np.array([-1.0]), np.array([1.0]))
 
 def point_mass(spec, coeff, points):
     """Noise-free prediction of fixed coefficients: the mean surrogate alone."""
-    return PfpPrediction(points, vandermonde(spec, points) @ coeff, np.zeros(len(points)))
+    return PfpPrediction(vandermonde(spec, points) @ coeff, np.zeros(len(points)))
+
+
+class TestPfpPrediction:
+    def test_holds_only_what_the_scores_read(self):
+        assert [f.name for f in dataclasses.fields(PfpPrediction)] == ["mean", "marginal_var"]
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            PfpPrediction(np.zeros(2), np.ones(3))
+
+    def test_design_keeps_its_matrix_not_its_points(self):
+        spec = BasisSpec.total_order(UNIT_BOX, 2)
+        design = Design(spec, [[0.5], [-0.25]])
+        np.testing.assert_array_equal(design.matrix, vandermonde(spec, np.array([[0.5], [-0.25]])))
+        assert [f.name for f in dataclasses.fields(design)] == ["basis", "matrix"]
 
 
 class TestPushforward:
@@ -104,13 +121,13 @@ class TestPushforward:
 
 class TestLpfp:
     def test_single_point_at_mean_unit_variance(self):
-        pred = PfpPrediction(np.array([[0.0]]), np.array([2.0]), np.array([1.0]))
+        pred = PfpPrediction(np.array([2.0]), np.array([1.0]))
         assert lpfp(pred, np.array([2.0])) == pytest.approx(-0.9189385332046727)
 
     def test_sum_over_identical_points(self):
         m = 7
-        pred = PfpPrediction(np.zeros((m, 1)), np.full(m, 2.0), np.ones(m))
-        single = PfpPrediction(np.zeros((1, 1)), np.array([2.0]), np.ones(1))
+        pred = PfpPrediction(np.full(m, 2.0), np.ones(m))
+        single = PfpPrediction(np.array([2.0]), np.ones(1))
         assert lpfp(pred, np.full(m, 2.0)) == pytest.approx(
             m * lpfp(single, np.array([2.0])), rel=1e-12
         )
@@ -118,12 +135,12 @@ class TestLpfp:
     def test_shrinking_variance_with_mismatch_diverges(self):
         scores = []
         for var in [1.0, 1e-2, 1e-4, 1e-8]:
-            pred = PfpPrediction(np.zeros((1, 1)), np.array([0.0]), np.array([var]))
+            pred = PfpPrediction(np.array([0.0]), np.array([var]))
             scores.append(lpfp(pred, np.array([0.5])))
         assert np.all(np.diff(scores) < 0)
 
     def test_underflowing_variance_is_clamped_not_infinite(self):
-        pred = PfpPrediction(np.zeros((1, 1)), np.array([0.0]), np.array([0.0]))
+        pred = PfpPrediction(np.array([0.0]), np.array([0.0]))
         score = lpfp(pred, np.array([0.0]))
         assert np.isfinite(score)
 
@@ -166,12 +183,12 @@ class TestRmse:
         assert rmse(pushforward(lik, Design(spec, val)), cubic_truth(val[:, 0])) <= 1e-8
 
     def test_empty_points_rejected(self):
-        empty = PfpPrediction(np.empty((0, 1)), np.empty(0), np.empty(0))
+        empty = PfpPrediction(np.empty(0), np.empty(0))
         with pytest.raises(DomainError):
             rmse(empty, np.empty(0))
 
     def test_length_mismatch_rejected(self):
-        pred = PfpPrediction(np.zeros((2, 1)), np.zeros(2), np.ones(2))
+        pred = PfpPrediction(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
             rmse(pred, np.zeros(3))
 
