@@ -19,7 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .basis import (
     BasisSpec,
     DomainBox,
-    MultiIndexSet,
+    as_points,
     n_pce,
     to_reference,
     vandermonde,

@@ -5,12 +5,13 @@ density on [-1, 1] (weight 1/2), i.e. the degree-k member is sqrt(2k+1) * P_k
 with P_k the classical Legendre polynomial.  Multivariate basis functions are
 per-dimension products selected by a total-order multi-index set (one shared
 per dimension and degree), and inputs map onto [-1, 1]^n per dimension affinely.
+Every function that takes points reads them by `as_points`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +41,12 @@ def n_pce(n: int, d: int) -> int:
     return count
 
 
+@functools.cache
 def _total_order_indices(n: int, d: int) -> np.ndarray:
-    """Multi-indices with component sum <= d, in graded lexicographic order."""
+    """Multi-indices with component sum <= d, in graded lexicographic order.
+
+    Built once per (n, d) and shared read-only by every basis of that shape.
+    """
 
     def compositions(total: int, parts: int):
         # All `parts`-tuples of non-negative ints summing to `total`, lex ascending.
@@ -52,10 +57,14 @@ def _total_order_indices(n: int, d: int) -> np.ndarray:
             for tail in compositions(total - head, parts - 1):
                 yield (head,) + tail
 
+    expected = n_pce(n, d)
     rows = []
     for grade in range(d + 1):
         rows.extend(compositions(grade, n))
-    return np.array(rows, dtype=np.intp)
+    indices = np.array(rows, dtype=np.intp)
+    assert indices.shape == (expected, n)
+    indices.flags.writeable = False
+    return indices
 
 
 @dataclass(frozen=True)
@@ -104,98 +113,80 @@ class DomainBox:
 
 
 @dataclass(frozen=True)
-class MultiIndexSet:
-    """Total-order truncated multi-index set in graded lexicographic order."""
-
-    dimension: int
-    degree: int
-    indices: np.ndarray
-
-    @classmethod
-    @functools.cache
-    def total_order(cls, dimension: int, degree: int) -> "MultiIndexSet":
-        """The set for (dimension, degree), built once per process and shared read-only."""
-        expected = n_pce(dimension, degree)
-        indices = _total_order_indices(dimension, degree)
-        assert indices.shape == (expected, dimension)
-        indices.flags.writeable = False
-        return cls(dimension=dimension, degree=degree, indices=indices)
-
-    def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.intp)
-        if indices.ndim != 2 or indices.shape[1] != self.dimension:
-            raise ValueError("indices must have shape (n_terms, dimension)")
-        if np.any(indices < 0) or np.any(indices.sum(axis=1) > self.degree):
-            raise ValueError("indices violate the total-order truncation")
-        if len({tuple(row) for row in indices}) != len(indices):
-            raise ValueError("duplicate multi-indices")
-        object.__setattr__(self, "indices", indices)
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
-@dataclass(frozen=True)
 class BasisSpec:
-    """A domain box paired with the multi-index set of its Legendre basis."""
+    """A domain box and the total degree of its Legendre basis.
+
+    indices holds the basis's total-order multi-indices, one row per term.
+    """
 
     box: DomainBox
-    index_set: MultiIndexSet
+    degree: int
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.box.dimension != self.index_set.dimension:
-            raise ValueError("box and index set dimensions differ")
+        degree = integer("degree", self.degree, low=0)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "indices", _total_order_indices(self.box.dimension, degree))
 
     @classmethod
     def total_order(cls, box: DomainBox, degree: int) -> "BasisSpec":
-        return cls(box=box, index_set=MultiIndexSet.total_order(box.dimension, degree))
+        return cls(box, degree)
 
     @property
     def n_terms(self) -> int:
-        return len(self.index_set)
+        return self.indices.shape[0]
 
     def to_config(self) -> dict:
         return {
             "dimension": self.box.dimension,
-            "degree": self.index_set.degree,
+            "degree": self.degree,
             "lower": self.box.lower.tolist(),
             "upper": self.box.upper.tolist(),
         }
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BasisSpec":
-        dimension, degree = (integer(key, cfg[key], low=0) for key in ("dimension", "degree"))
+        dimension = integer("dimension", cfg["dimension"], low=0)
         box = DomainBox(np.asarray(cfg["lower"], dtype=float),
                         np.asarray(cfg["upper"], dtype=float))
         if box.dimension != dimension:
             raise ValueError("bounds length does not match the declared dimension")
-        return cls.total_order(box, degree)
+        return cls(box, cfg["degree"])
+
+
+def as_points(X, dimension: int) -> np.ndarray:
+    """X as an (N, dimension) float array of points, one per row.
+
+    A 1-d X lists consecutive points, so on a 1-d basis [0.1, 0.2, 0.3] is three
+    points and on a 3-d one it is one.  Any other shape raises ValueError.
+    """
+    dimension = integer("dimension", dimension, low=1)
+    pts = np.asarray(X, dtype=float)
+    if pts.ndim == 1 and pts.size % dimension == 0:
+        pts = pts.reshape(-1, dimension)
+    if pts.ndim != 2 or pts.shape[1] != dimension:
+        raise ValueError(f"expected {dimension}-dimensional points, got shape {pts.shape}")
+    return pts
 
 
 def to_reference(box: DomainBox, x: np.ndarray) -> np.ndarray:
     """Affine map of points in `box` onto the reference cube [-1, 1]^n.
 
-    Accepts a single point of shape (n,) or a batch of shape (N, n).  Points
-    may exceed the box by at most BOX_TOLERANCE (scaled by bound magnitude) to
-    absorb floating-point round trips; endpoints map exactly to +/-1.
+    Reads x by `as_points` and returns shape (N, n).  Points may exceed the
+    box by at most BOX_TOLERANCE (scaled by bound magnitude) to absorb
+    floating-point round trips; endpoints map exactly to +/-1.
     """
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != box.dimension:
-        raise ValueError(f"points have dimension {pts.shape[1]}, box has {box.dimension}")
+    pts = as_points(x, box.dimension)
     slack = BOX_TOLERANCE * np.maximum(1.0, np.maximum(np.abs(box.lower), np.abs(box.upper)))
-    below = pts < box.lower - slack
-    above = pts > box.upper + slack
-    if np.any(below) or np.any(above):
-        bad = np.argwhere(below | above)[0]
+    outside = (pts < box.lower - slack) | (pts > box.upper + slack)
+    if np.any(outside):
+        bad = np.argwhere(outside)[0]
         raise DomainError(
             f"point {pts[bad[0]]} lies outside the box in dimension {bad[1]} "
             f"(bounds [{box.lower[bad[1]]}, {box.upper[bad[1]]}])"
         )
     xi = 2.0 * (pts - box.lower) / box.width - 1.0
-    xi = np.clip(xi, -1.0, 1.0)
-    return xi[0] if squeeze else xi
+    return np.clip(xi, -1.0, 1.0)
 
 
 def legendre_orthonormal(max_degree: int, xi: np.ndarray) -> np.ndarray:
@@ -219,17 +210,14 @@ def legendre_orthonormal(max_degree: int, xi: np.ndarray) -> np.ndarray:
 def vandermonde(spec: BasisSpec, X: np.ndarray) -> np.ndarray:
     """Design matrix of basis values, shape (N_points, n_terms).
 
-    Row k holds every basis function evaluated at X[k] after mapping into the
-    reference cube: one Legendre table for every dimension up to the highest
-    degree in the index set, then one gather and product per dimension.
+    Row k holds every basis function evaluated at point k of X (read by
+    `as_points`) after mapping into the reference cube: one Legendre table for
+    every dimension up to the basis degree, then one gather and product per
+    dimension.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, spec.box.dimension)
     xi = to_reference(spec.box, X)
-    indices = spec.index_set.indices
-    table = legendre_orthonormal(int(indices.max()), xi)
-    A = np.ones((xi.shape[0], len(spec.index_set)))
+    table = legendre_orthonormal(spec.degree, xi)
+    A = np.ones((xi.shape[0], spec.n_terms))
     for j in range(spec.box.dimension):
-        A *= table[:, j, indices[:, j]]
+        A *= table[:, j, spec.indices[:, j]]
     return A

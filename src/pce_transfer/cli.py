@@ -159,21 +159,21 @@ def read_trial_csv(path: Path, config_line: str, n_trials: int) -> list[TrialRec
 def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Read a CSV of n input columns plus one output column.
 
-    A single leading header row of non-numeric cells is tolerated; every
-    other row must hold dimension + 1 finite numbers.
+    The first row is a header, and skipped, when none of its cells is a
+    number; every other row must hold dimension + 1 finite numbers.
     """
     rows = list(csv.reader(io.StringIO(read_input(path, "dataset"), newline="")))
     if not rows:
         raise UsageError(f"dataset {path} is empty")
 
-    def parse(row):
-        return [float(cell) for cell in row]
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
 
-    start = 0
-    try:
-        parse(rows[0])
-    except ValueError:
-        start = 1
+    start = 0 if any(map(is_number, rows[0])) else 1
     data = []
     for i, row in enumerate(rows[start:], start=start + 1):
         if not row:
@@ -182,7 +182,7 @@ def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
             raise UsageError(
                 f"dataset {path} row {i}: expected {dimension + 1} columns, got {len(row)}")
         try:
-            values = parse(row)
+            values = [float(cell) for cell in row]
         except ValueError as exc:
             raise UsageError(f"dataset {path} row {i}: non-numeric cell ({exc})") from exc
         if not np.all(np.isfinite(values)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, vandermonde
+from .basis import BasisSpec, as_points, vandermonde
 from .errors import CalibrationError, NumericError, finite_real, integer
 
 # Relative symmetry slack and the floor applied to estimated noise variances.
@@ -103,9 +103,7 @@ class CalibrationTask:
     noise_var: float | None = None
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(-1, self.basis.box.dimension)
+        X = as_points(self.X, self.basis.box.dimension)
         Y = np.asarray(self.Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y have different numbers of samples")

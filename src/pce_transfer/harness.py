@@ -43,6 +43,7 @@ AGGREGATE_CSV_COLUMNS = ("shift", "n_trials", "n_failed",
                          *(f"{stem}_{stat}" for stem, _ in AGGREGATED for stat in ("mean", "sd")))
 
 BAND_CSV_COLUMNS = ("x", "mean", "lo", "hi", "beta_mode")
+BAND_GRID_POINTS = 121  # evenly spaced band points over the encompassing interval
 
 
 def derive_seed(master_seed: int, trial: int, role: str) -> int:
@@ -105,9 +106,9 @@ class ExperimentConfig:
     likelihood_noise_sd: float | None = None
 
     def __post_init__(self):
-        for name in ("n_source", "n_target", "n_val", "n_trials"):
-            object.__setattr__(self, name, integer(name, getattr(self, name), low=1))
-        object.__setattr__(self, "seed", integer("seed", self.seed))
+        for name, low in (("n_source", 1), ("n_target", 1), ("n_val", 1), ("n_trials", 1),
+                          ("seed", None), ("shift_axis", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), low=low))
         if not isinstance(self.degrees, (list, tuple)) or not self.degrees:
             raise ValueError(f"degrees must be a non-empty list, got {self.degrees!r}")
         object.__setattr__(self, "degrees",
@@ -134,6 +135,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown sampler {self.sampler!r}; choose from {SAMPLERS}")
         if self.shift_mode not in ("target-box", "model-param"):
             raise ValueError(f"unknown shift_mode {self.shift_mode!r}")
+        dim, params = self.model.dimension, list(self.model.parameters)
+        if (self.source_box.dimension, self.target_box.dimension) != (dim, dim):
+            raise ValueError(f"source_box and target_box must both have dimension {dim}, "
+                             f"as the {self.model.name} model does")
+        if self.shift_axis >= dim:
+            raise ValueError(f"shift_axis must be below dimension {dim}, got {self.shift_axis}")
+        if self.shift_mode == "model-param" and self.shift_param not in params:
+            raise ValueError(f"shift_param must be one of {params}, got {self.shift_param!r}")
         domain, box = self.model.domain, self.reference_box()
         if domain is not None and (np.any(box.lower < domain.lower)
                                    or np.any(box.upper > domain.upper)):
@@ -141,7 +150,6 @@ class ExperimentConfig:
                 f"source and target boxes span {box.lower.tolist()}..{box.upper.tolist()}, outside "
                 f"the {self.model.name} domain {domain.lower.tolist()}..{domain.upper.tolist()}"
             )
-        dim = self.model.dimension
         for d in self.degrees:
             for name in ("n_source", "n_target"):
                 if getattr(self, name) < n_pce(dim, d):
@@ -161,7 +169,7 @@ class ExperimentConfig:
 
     def target_model(self) -> GenerativeModel:
         if self.shift_mode == "model-param":
-            base = float(self.model.parameters.get(self.shift_param, 0.0))
+            base = float(self.model.parameters[self.shift_param])
             return self.model.with_parameters(**{self.shift_param: base + self.shift})
         return self.model
 
@@ -336,8 +344,7 @@ def aggregate_records(shift: float, records: list[TrialRecord]) -> dict:
     return row
 
 
-def pfp_bands(cfg_template: ExperimentConfig, shift: float, degree: int,
-              n_grid: int = 121) -> list[tuple]:
+def pfp_bands(cfg_template: ExperimentConfig, shift: float, degree: int) -> list[tuple]:
     """Plot-ready mean +/- 2 sd bands of one degree over the encompassing interval.
 
     Trial 0 represents the shift; rows are (x, mean, lo, hi, beta_mode)
@@ -347,11 +354,11 @@ def pfp_bands(cfg_template: ExperimentConfig, shift: float, degree: int,
     if cfg.model.dimension != 1:
         raise ValueError("band export is defined for one-dimensional inputs")
     ref_box = cfg.reference_box()
-    grid = np.linspace(ref_box.lower[0], ref_box.upper[0], n_grid).reshape(-1, 1)
+    grid = np.linspace(ref_box.lower[0], ref_box.upper[0], BAND_GRID_POINTS)
     _, preds = _predict_modes(cfg, trial_data(cfg, 0), degree, grid)
     rows = []
     for tag, pred in preds.items():
         sd = np.sqrt(np.maximum(pred.marginal_var, 0.0))
         rows.extend((float(x), float(m), float(m - 2 * s), float(m + 2 * s), tag)
-                    for x, m, s in zip(grid[:, 0], pred.mean, sd))
+                    for x, m, s in zip(grid, pred.mean, sd))
     return rows

@@ -1,7 +1,7 @@
 """Generative truth models driving the calibration experiments.
 
-Each model evaluates deterministically on input arrays of shape (N, dim) and
-returns outputs of shape (N,).  The subsurface stand-in is a synthetic smooth
+Each model evaluates deterministically on points read by `basis.as_points`
+and returns outputs of shape (N,).  The subsurface stand-in is a synthetic smooth
 response over five layered-medium parameters; it is not a physics solver.
 """
 
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import DomainBox
+from .basis import DomainBox, as_points
 from .errors import DomainError, NumericError
 
 
@@ -73,12 +73,8 @@ class GenerativeModel:
     domain: DomainBox | None = None  # admissible inputs; study boxes must stay inside
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise ValueError(
-                f"model {self.name} takes {self.dimension}-dim points, got {pts.shape[1]}"
-            )
-        out = np.asarray(self.fn(pts, **self.parameters), dtype=float)
+        out = np.asarray(self.fn(as_points(points, self.dimension), **self.parameters),
+                         dtype=float)
         if not np.all(np.isfinite(out)):
             raise NumericError(f"model {self.name} produced non-finite output")
         return out

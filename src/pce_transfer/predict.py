@@ -53,7 +53,7 @@ class Design:
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, points):
-        object.__setattr__(self, "matrix", vandermonde(self.basis, np.atleast_2d(points)))
+        object.__setattr__(self, "matrix", vandermonde(self.basis, points))
 
 
 def pushforward(posterior: GaussianDist, design: Design,

@@ -11,13 +11,16 @@ from numpy.polynomial.legendre import leggauss, legval
 from pce_transfer.basis import (
     BasisSpec,
     DomainBox,
-    MultiIndexSet,
+    as_points,
     legendre_orthonormal,
     n_pce,
     to_reference,
     vandermonde,
 )
 from pce_transfer.errors import DomainError
+from pce_transfer.gaussian import CalibrationTask
+from pce_transfer.models import cubic_model, ishigami_model
+from pce_transfer.predict import Design
 
 
 def classical_legendre(k: int, x):
@@ -83,11 +86,17 @@ class TestToReference:
     BOX = DomainBox(np.array([-0.2]), np.array([0.3]))
 
     def test_endpoints_exact(self):
-        assert to_reference(self.BOX, np.array([-0.2]))[0] == -1.0
-        assert to_reference(self.BOX, np.array([0.3]))[0] == 1.0
+        np.testing.assert_array_equal(to_reference(self.BOX, np.array([-0.2, 0.3])),
+                                      [[-1.0], [1.0]])
 
     def test_midpoint(self):
-        assert to_reference(self.BOX, np.array([0.05]))[0] == pytest.approx(0.0, abs=1e-15)
+        assert to_reference(self.BOX, np.array([0.05]))[0, 0] == pytest.approx(0.0, abs=1e-15)
+
+    def test_always_returns_one_row_per_point(self):
+        box = DomainBox(np.zeros(3), np.ones(3))
+        assert to_reference(box, [0.1, 0.2, 0.3]).shape == (1, 3)
+        assert to_reference(box, [[0.1, 0.2, 0.3]] * 4).shape == (4, 3)
+        assert to_reference(self.BOX, [0.1, 0.2, 0.3]).shape == (3, 1)
 
     def test_outside_raises(self):
         with pytest.raises(DomainError):
@@ -97,7 +106,7 @@ class TestToReference:
 
     def test_tiny_overstep_is_tolerated(self):
         xi = to_reference(self.BOX, np.array([0.3 + 1e-14]))
-        assert xi[0] == 1.0
+        assert xi[0, 0] == 1.0
 
     @given(
         lo=st.floats(-10, 10),
@@ -107,37 +116,95 @@ class TestToReference:
     def test_round_trip_identity(self, lo, width, t):
         box = DomainBox(np.array([lo]), np.array([lo + width]))
         x = np.array([lo + t * width])
-        back = box.lower + 0.5 * (to_reference(box, x) + 1.0) * box.width
+        back = box.lower + 0.5 * (to_reference(box, x)[0] + 1.0) * box.width
         np.testing.assert_allclose(back, x, atol=1e-14 * max(1.0, abs(lo) + width))
 
 
-class TestMultiIndexSet:
+def unit_basis(n: int, degree: int) -> BasisSpec:
+    return BasisSpec(DomainBox(np.zeros(n), np.ones(n)), degree)
+
+
+class TestBasisIndices:
     def test_graded_lexicographic_order(self):
-        idx = MultiIndexSet.total_order(2, 2).indices
+        idx = unit_basis(2, 2).indices
         expected = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert [tuple(row) for row in idx] == expected
 
     @given(n=st.integers(1, 6), d=st.integers(0, 6))
     def test_cardinality_matches_n_pce(self, n, d):
-        assert len(MultiIndexSet.total_order(n, d)) == n_pce(n, d)
+        spec = unit_basis(n, d)
+        assert spec.indices.shape == (n_pce(n, d), n)
+        assert spec.n_terms == n_pce(n, d)
 
     @given(n=st.integers(1, 5), d=st.integers(0, 5))
     def test_truncation_and_uniqueness(self, n, d):
-        idx = MultiIndexSet.total_order(n, d).indices
+        idx = unit_basis(n, d).indices
+        assert np.all(idx >= 0)
         assert np.all(idx.sum(axis=1) <= d)
         assert len({tuple(r) for r in idx}) == len(idx)
 
-
     def test_equal_pairs_share_one_read_only_set(self):
-        first = MultiIndexSet.total_order(3, 2)
-        assert MultiIndexSet.total_order(3, 2) is first
-        box_a = DomainBox(np.zeros(3), np.ones(3))
+        first = unit_basis(3, 2).indices
         box_b = DomainBox(-np.ones(3), 2.0 * np.ones(3))
-        assert BasisSpec.total_order(box_a, 2).index_set is first
-        assert BasisSpec.total_order(box_b, 2).index_set is first
-        assert MultiIndexSet.total_order(3, 3) is not first
+        assert unit_basis(3, 2).indices is first
+        assert BasisSpec.total_order(box_b, 2).indices is first
+        assert BasisSpec(box_b, 2).indices is first
+        assert unit_basis(3, 3).indices is not first
         with pytest.raises(ValueError):
-            first.indices[0, 0] = 1
+            first[0, 0] = 1
+
+    @pytest.mark.parametrize("degree", [1.5, 2.0, True, "3", -1, None])
+    def test_degree_must_be_a_non_negative_integer(self, degree):
+        box = DomainBox(np.zeros(2), np.ones(2))
+        for build in (BasisSpec, BasisSpec.total_order):
+            with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+                build(box, degree)
+
+    def test_numpy_integer_degree_becomes_a_python_int(self):
+        spec = unit_basis(2, np.int64(2))
+        assert type(spec.degree) is int and spec.n_terms == 6
+
+
+class TestPointSetRule:
+    """Every function that takes points reads a 1-d array as consecutive points."""
+
+    BOX = DomainBox(np.array([0.0]), np.array([1.0]))
+
+    def test_as_points(self):
+        assert as_points([0.1, 0.2, 0.3], 1).shape == (3, 1)
+        assert as_points([0.1, 0.2, 0.3, 0.4], 2).tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert as_points(np.zeros((0, 2)), 2).shape == (0, 2)
+        assert as_points(np.array([1, 2]), 2).dtype == float
+        for dimension in (0, -2, True, 1.0):  # GenerativeModel does not check its dimension
+            with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+                as_points(np.zeros(3), dimension)
+
+    def test_a_one_d_point_list_gives_the_same_rows_everywhere(self):
+        flat = np.array([0.1, 0.2, 0.3])
+        column = flat.reshape(-1, 1)
+        spec = BasisSpec(self.BOX, 2)
+        np.testing.assert_array_equal(to_reference(self.BOX, flat),
+                                      to_reference(self.BOX, column))
+        expected = vandermonde(spec, column)
+        assert expected.shape == (3, 3)
+        np.testing.assert_array_equal(vandermonde(spec, flat), expected)
+        np.testing.assert_array_equal(Design(spec, flat).matrix, expected)
+        np.testing.assert_array_equal(CalibrationTask(spec, flat, np.zeros(3)).X, column)
+        np.testing.assert_array_equal(cubic_model().evaluate(flat),
+                                      cubic_model().evaluate(column))
+
+    @pytest.mark.parametrize("X", [np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2)),
+                                   np.float64(0.5)])
+    def test_a_wrong_width_raises_value_error_everywhere(self, X):
+        box = DomainBox(np.zeros(2), np.ones(2))
+        spec = BasisSpec(box, 1)
+        sites = [lambda: as_points(X, 2), lambda: to_reference(box, X),
+                 lambda: vandermonde(spec, X), lambda: Design(spec, X),
+                 lambda: CalibrationTask(spec, X, np.zeros(3)),
+                 lambda: ishigami_model().evaluate(X)]
+        for site in sites:
+            with pytest.raises(ValueError, match="expected 2-dimensional points"):
+                site()
 
 
 class TestUnivariateLegendre:
@@ -187,7 +254,7 @@ class TestEvalBasis:
         vals = vandermonde(spec, x.reshape(1, -1))[0]
         t0 = legendre_orthonormal(3, np.array([x[0]]))[0]
         t1 = legendre_orthonormal(3, np.array([x[1]]))[0]
-        for row, expect in zip(spec.index_set.indices, vals):
+        for row, expect in zip(spec.indices, vals):
             assert expect == pytest.approx(t0[row[0]] * t1[row[1]], rel=1e-12)
 
 
@@ -222,7 +289,7 @@ class TestVandermonde:
         X = rng.uniform(spec.box.lower, spec.box.upper, size=(200, spec.box.dimension))
         xi = to_reference(spec.box, X)
         expected = np.ones((len(X), spec.n_terms))
-        for col, row in enumerate(spec.index_set.indices):
+        for col, row in enumerate(spec.indices):
             for j, k in enumerate(row):
                 expected[:, col] *= np.sqrt(2 * k + 1) * classical_legendre(k, xi[:, j])
         np.testing.assert_allclose(vandermonde(spec, X), expected, rtol=1e-12, atol=1e-12)
@@ -239,7 +306,7 @@ class TestBasisSpecConfig:
         again = BasisSpec.from_config(spec.to_config())
         assert again.n_terms == spec.n_terms
         np.testing.assert_array_equal(again.box.lower, spec.box.lower)
-        np.testing.assert_array_equal(again.index_set.indices, spec.index_set.indices)
+        np.testing.assert_array_equal(again.indices, spec.indices)
 
     @pytest.mark.parametrize("key,value", [
         ("degree", 1.5), ("degree", 2.0), ("degree", True), ("degree", "3"), ("degree", -1),

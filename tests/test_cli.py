@@ -192,6 +192,30 @@ class TestFit:
         assert not out.exists()
 
 
+    def test_bad_first_row_with_a_number_exits_2_naming_row_1(self, tmp_path, capsys):
+        # A first row holding a number is data, not a header, so it is checked as data.
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0.0, 1.0, size=(6, 2))
+        Y = [str(v) for v in X.sum(axis=1)]
+        Y[0] = "abc"
+        data = tmp_path / "data.csv"
+        write_dataset(data, X, Y)
+        out = tmp_path / "out"
+        assert run_cli("fit", "--out", str(out), "--set", f"dataset={data}",
+                       "--set", "dimension=2", "--set", "degree=1",
+                       "--set", "lower=[0,0]", "--set", "upper=[1,1]") == 2
+        assert "row 1: non-numeric cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_first_row_without_a_number_is_a_header(self, tmp_path):
+        X = np.linspace(-0.2, 0.3, 5)
+        data = tmp_path / "data.csv"
+        write_dataset(data, X, cubic_truth(X), header=["x", ""])
+        out = tmp_path / "out"
+        assert run_cli(*fit_args(data, out, degree=1)) == 0
+        assert json.loads((out / "posterior.json").read_text())["report"]["n_samples"] == 5
+
+
 class TestTransfer:
     def make_artifact(self, cubic_dataset, out):
         assert run_cli(*fit_args(cubic_dataset, out)) == 0

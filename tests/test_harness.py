@@ -13,6 +13,7 @@ from pce_transfer.basis import BasisSpec, DomainBox
 from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
 from pce_transfer.harness import (
     AGGREGATE_CSV_COLUMNS,
+    BAND_GRID_POINTS,
     ExperimentConfig,
     aggregate_records,
     derive_seed,
@@ -140,9 +141,10 @@ class TestExperimentConfig:
 
     def test_numpy_integers_become_python_ints(self):
         cfg = small_cubic_cfg(n_trials=np.int64(2), seed=np.int32(0), n_val=np.uint8(7),
-                              degrees=[np.int64(1), 3])
+                              degrees=[np.int64(1), 3], shift_axis=np.int64(0))
         assert (cfg.n_trials, cfg.seed, cfg.n_val, cfg.degrees) == (2, 0, 7, (1, 3))
-        assert all(type(v) is int for v in (cfg.n_trials, cfg.seed, cfg.n_val, *cfg.degrees))
+        assert all(type(v) is int for v in (cfg.n_trials, cfg.seed, cfg.n_val, *cfg.degrees,
+                                            cfg.shift_axis))
         json.dumps(cfg.to_dict())
 
     def test_seed_zero_and_negative_seeds_accepted(self):
@@ -183,6 +185,37 @@ class TestExperimentConfig:
     def test_malformed_noise_and_sampler_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             small_cubic_cfg(**{name: value})
+
+    @pytest.mark.parametrize("name", ["source_box", "target_box"])
+    def test_box_of_another_dimension_rejected(self, name):
+        box = DomainBox(np.array([-0.2, 0.0]), np.array([0.3, 1.0]))
+        with pytest.raises(ValueError, match="source_box and target_box must both have "
+                                             "dimension 1"):
+            small_cubic_cfg(**{name: box})
+
+    @pytest.mark.parametrize("axis,message", [
+        (1, "shift_axis must be below dimension 1"), (3, "shift_axis must be below dimension 1"),
+        (-1, "shift_axis must be a non-negative integer"),
+        (True, "shift_axis must be a non-negative integer"),
+        (0.0, "shift_axis must be a non-negative integer"),
+    ])
+    def test_shift_axis_outside_the_model_rejected(self, axis, message):
+        with pytest.raises(ValueError, match=message):
+            small_cubic_cfg(shift_axis=axis)
+
+    def test_shift_axis_within_the_model_accepted(self):
+        cfg = dataclasses.replace(subsurface_scenario("z2")[0], shift_axis=np.int64(4))
+        assert cfg.shift_axis == 4
+
+    @pytest.mark.parametrize("param", ["phi", "", ["theta"], None])
+    def test_model_param_shift_of_an_unknown_parameter_rejected(self, param):
+        cfg = ishigami_scenario()[0]
+        with pytest.raises(ValueError, match=r"shift_param must be one of \['theta'\]"):
+            dataclasses.replace(cfg, shift_param=param)
+
+    def test_model_param_shift_of_a_model_without_parameters_rejected(self):
+        with pytest.raises(ValueError, match=r"shift_param must be one of \[\]"):
+            small_cubic_cfg(shift_mode="model-param")
 
 
 class TestRunTrial:
@@ -362,7 +395,7 @@ class TestBands:
         cfg = small_cubic_cfg(degrees=(1, 3))
         for label, shift in CUBIC_BAND_TARGETS.items():
             for degree in cfg.degrees:
-                rows = pfp_bands(cfg, shift, degree, n_grid=41)
+                rows = pfp_bands(cfg, shift, degree)
                 arr = np.array([r[:4] for r in rows], dtype=float)
                 assert np.all(np.isfinite(arr)), (label, degree)
                 modes = {r[4] for r in rows}
@@ -370,12 +403,15 @@ class TestBands:
 
     def test_band_rows_cover_grid(self):
         cfg = small_cubic_cfg()
-        rows = pfp_bands(cfg, 0.0, 3, n_grid=17)
-        assert len(rows) == 3 * 17
+        rows = pfp_bands(cfg, 0.0, 3)
+        assert len(rows) == 3 * BAND_GRID_POINTS == 3 * 121
+        grid = np.linspace(-0.2, 0.3, BAND_GRID_POINTS)
+        for tag in ("b0", "bstar", "b1"):
+            assert [r[0] for r in rows if r[4] == tag] == grid.tolist()
 
     def test_rows_of_a_degree_do_not_depend_on_the_configured_degrees(self):
-        rows = pfp_bands(small_cubic_cfg(degrees=(1, 2, 3)), 0.4, 2, n_grid=9)
-        assert rows == pfp_bands(small_cubic_cfg(degrees=(2,)), 0.4, 2, n_grid=9)
+        rows = pfp_bands(small_cubic_cfg(degrees=(1, 2, 3)), 0.4, 2)
+        assert rows == pfp_bands(small_cubic_cfg(degrees=(2,)), 0.4, 2)
 
     def test_multidimensional_scenario_rejected(self):
         cfg = dataclasses.replace(ishigami_scenario()[0], n_trials=1)
