@@ -75,8 +75,11 @@ class DomainBox:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        try:
+            lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
+            upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        except TypeError as exc:  # a bound that is no number, such as a dict
+            raise ValueError(f"box bounds must be numbers: {exc}") from exc
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
         if lower.size < 1:
@@ -106,7 +109,9 @@ class DomainBox:
                          np.maximum(self.upper, other.upper))
 
     def translate(self, offset: float, axis: int) -> "DomainBox":
-        """Shift the box by `offset` along one axis."""
+        """Shift the box by `offset` along one axis, 0 <= axis < dimension."""
+        if integer("axis", axis, low=0) >= self.dimension:
+            raise ValueError(f"axis must be below dimension {self.dimension}, got {axis}")
         shift = np.zeros(self.dimension)
         shift[axis] = offset
         return DomainBox(self.lower + shift, self.upper + shift)
@@ -147,8 +152,7 @@ class BasisSpec:
     @classmethod
     def from_config(cls, cfg: dict) -> "BasisSpec":
         dimension = integer("dimension", cfg["dimension"], low=0)
-        box = DomainBox(np.asarray(cfg["lower"], dtype=float),
-                        np.asarray(cfg["upper"], dtype=float))
+        box = DomainBox(cfg["lower"], cfg["upper"])
         if box.dimension != dimension:
             raise ValueError("bounds length does not match the declared dimension")
         return cls(box, cfg["degree"])
@@ -157,8 +161,8 @@ class BasisSpec:
 def as_points(X, dimension: int) -> np.ndarray:
     """X as an (N, dimension) float array of points, one per row.
 
-    A 1-d X lists consecutive points, so on a 1-d basis [0.1, 0.2, 0.3] is three
-    points and on a 3-d one it is one.  Any other shape raises ValueError.
+    A 1-d X lists consecutive points: [0.1, 0.2, 0.3] is three 1-d points or one
+    3-d point.  Any other shape, or a NaN or infinite coordinate, raises ValueError.
     """
     dimension = integer("dimension", dimension, low=1)
     pts = np.asarray(X, dtype=float)
@@ -166,6 +170,8 @@ def as_points(X, dimension: int) -> np.ndarray:
         pts = pts.reshape(-1, dimension)
     if pts.ndim != 2 or pts.shape[1] != dimension:
         raise ValueError(f"expected {dimension}-dimensional points, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite; a coordinate is NaN or infinite")
     return pts
 
 

@@ -8,8 +8,9 @@ outputs start with a single '# config {...}' comment line.  Result files
 never contain timestamps, so identical configurations produce byte-identical
 outputs.
 
-Exit codes: 0 success, 1 numeric or calibration failure (including a sweep
-shift in which every trial failed), 2 usage/schema error.
+Exit codes, which `main` alone picks, by exception type: 0 success, 1 a failed
+run (CalibrationError, NumericError, OSError, or a sweep shift in which every
+trial failed), 2 bad input (any ValueError, UsageError and DomainError included).
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisSpec, n_pce, to_reference
-from .errors import CalibrationError, DomainError, NumericError, finite_real, integer
+from .basis import BasisSpec, n_pce
+from .errors import CalibrationError, NumericError, finite_real, integer
 from .gaussian import (
     DEFAULT_COND_CEILING,
     CalibrationTask,
     GaussianDist,
-    check_fit_settings,
     check_sample_count,
     likelihood_with_report,
 )
@@ -45,12 +45,7 @@ from .harness import (
     run_shift,
 )
 from .scenarios import STUDIES
-from .transfer import (
-    DEFAULT_BETA_FLOOR,
-    DEFAULT_SCAN_POINTS,
-    TransferProblem,
-    optimize_beta,
-)
+from .transfer import DEFAULT_BETA_FLOOR, DEFAULT_SCAN_POINTS, TransferProblem, optimize_beta
 
 REPRO_COMMANDS = {f"repro-{name}": name for name in STUDIES}
 
@@ -61,8 +56,8 @@ EXPERIMENT_KEYS = ("n_trials", "seed", "objective", "degrees", "noise_sd",
 SWEEP_KEYS = {*EXPERIMENT_KEYS, "scenario", "shifts", "sweep_param", "bands"}
 
 
-class UsageError(Exception):
-    """Configuration or input-schema problem; maps to exit code 2."""
+class UsageError(ValueError):
+    """Configuration or input-schema problem; like every ValueError, exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +190,13 @@ def load_dataset(path: str, dimension: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_fit(cfg: dict, out_dir: Path) -> int:
-    try:
-        n_terms = n_pce(*(integer(key, cfg[key], low=0) for key in ("dimension", "degree")))
-        X, Y = load_dataset(cfg["dataset"], cfg["dimension"])
-        check_sample_count(len(Y), n_terms)  # before the index set, which can take seconds
-        spec = BasisSpec.from_config(cfg)
-        to_reference(spec.box, X)  # a point outside lower/upper raises DomainError
-        task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
-        cond_ceiling = cfg.get("cond_ceiling", DEFAULT_COND_CEILING)
-        jitter = cfg.get("jitter", 0.0)
-        check_fit_settings(cond_ceiling, jitter)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid fit config: {exc}") from exc
-    dist, report = likelihood_with_report(task, cond_ceiling=cond_ceiling, jitter=jitter)
+    n_terms = n_pce(*(integer(key, cfg[key], low=0) for key in ("dimension", "degree")))
+    X, Y = load_dataset(cfg["dataset"], cfg["dimension"])
+    check_sample_count(len(Y), n_terms)  # before the index set, which can take seconds
+    spec = BasisSpec.from_config(cfg)
+    task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
+    dist, report = likelihood_with_report(task, cfg.get("cond_ceiling", DEFAULT_COND_CEILING),
+                                          cfg.get("jitter", 0.0))
     write_json(out_dir / "posterior.json", {"config": cfg, "basis": spec.to_config(),
                                             "posterior": dist.to_record(), "report": report})
     return 0
@@ -228,17 +217,9 @@ def load_posterior_artifact(path: str) -> GaussianDist:
 def cmd_transfer(cfg: dict, out_dir: Path) -> int:
     source = load_posterior_artifact(cfg["source"])
     target = load_posterior_artifact(cfg["target"])
-    if source.dim != target.dim:
-        raise UsageError(f"artifact dimensions differ: source {source.dim}, target {target.dim}")
-    try:
-        prob = TransferProblem(source, target, str(cfg["objective"]))
-        scan_points = integer("scan_points", cfg.get("scan_points", DEFAULT_SCAN_POINTS), low=2)
-        beta_floor = cfg.get("beta_floor", DEFAULT_BETA_FLOOR)
-        if not (finite_real(beta_floor) and 0.0 < beta_floor < 1.0):
-            raise ValueError(f"beta_floor must lie in (0, 1), got {beta_floor!r}")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    result = optimize_beta(prob, scan_points=scan_points, beta_floor=beta_floor)
+    prob = TransferProblem(source, target, cfg["objective"])
+    result = optimize_beta(prob, scan_points=cfg.get("scan_points", DEFAULT_SCAN_POINTS),
+                           beta_floor=cfg.get("beta_floor", DEFAULT_BETA_FLOOR))
     write_json(out_dir / "beta_result.json",
                {"config": cfg, "objective": prob.objective, **result.to_record()})
     return 0
@@ -266,15 +247,12 @@ def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
                                    and all(map(finite_real, shifts))):
         raise UsageError(f"shifts must be a non-empty list of finite numbers, got {shifts!r}")
     overrides = {key: cfg[key] for key in EXPERIMENT_KEYS if key in cfg}
-    try:
-        resolved = [(tag, dataclasses.replace(exp_cfg, **overrides),
-                     tuple(map(float, shifts or default_shifts)))
-                    for tag, exp_cfg, default_shifts in scenarios]
-        for _, exp_cfg, sweep_shifts in resolved:
-            for shift in sweep_shifts:
-                exp_cfg.with_shift(shift)  # checks the shifted boxes against the model
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    resolved = [(tag, dataclasses.replace(exp_cfg, **overrides),
+                 tuple(map(float, shifts or default_shifts)))
+                for tag, exp_cfg, default_shifts in scenarios]
+    for _, exp_cfg, sweep_shifts in resolved:
+        for shift in sweep_shifts:
+            exp_cfg.with_shift(shift)  # checks the shifted boxes against the model
     return resolved
 
 
@@ -440,10 +418,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         return run_sweep_command(cfg, out_dir, workers=args.workers, force=args.force)
-    except UsageError as exc:
+    except ValueError as exc:  # bad input, UsageError and DomainError among it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, CalibrationError, NumericError, ValueError, OSError) as exc:
+    except (CalibrationError, NumericError, OSError) as exc:  # a run that failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and its only checks that a setting
-from a config, a record or a caller is an integer (`integer`) or a finite real."""
+from a config, a record or a caller is an integer (`integer`) or a finite real.
+A ValueError, DomainError among them, means bad input: the CLI exits 2.
+CalibrationError or NumericError means the run failed on valid input: exit 1."""
 
 import numbers
 import sys

@@ -120,14 +120,6 @@ class CalibrationTask:
         return self.X.shape[0]
 
 
-def check_fit_settings(cond_ceiling: float, jitter: float):
-    """Reject a ceiling or jitter that would switch the conditioning guard off."""
-    if not (finite_real(cond_ceiling) and cond_ceiling > 0.0
-            and finite_real(jitter) and jitter >= 0.0):
-        raise ValueError("cond_ceiling must be positive and jitter non-negative, both finite, "
-                         f"got {cond_ceiling!r} and {jitter!r}")
-
-
 def check_sample_count(n_samples: int, n_terms: int):
     """Reject a fit with fewer samples than coefficients."""
     if n_samples < n_terms:
@@ -147,9 +139,13 @@ def likelihood_with_report(task: CalibrationTask,
     unless an explicit ridge `jitter` > 0 is opted into.  The ridge is the
     same QR solve with sqrt(jitter) * I appended to the design and zeros to
     the targets, so R^T R = A^T A + jitter * I, whose condition number the
-    report then holds.
+    report then holds.  A ceiling or jitter that would switch the conditioning
+    guard off raises ValueError.
     """
-    check_fit_settings(cond_ceiling, jitter)
+    if not (finite_real(cond_ceiling) and cond_ceiling > 0.0
+            and finite_real(jitter) and jitter >= 0.0):
+        raise ValueError("cond_ceiling must be positive and jitter non-negative, both finite, "
+                         f"got {cond_ceiling!r} and {jitter!r}")
     p = task.basis.n_terms
     check_sample_count(task.n_samples, p)
     A = vandermonde(task.basis, task.X)

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import DomainBox, as_points
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, integer
 
 
 def cubic_truth(x):
@@ -71,6 +71,15 @@ class GenerativeModel:
     fn: Callable[..., np.ndarray]
     parameters: dict = field(default_factory=dict)
     domain: DomainBox | None = None  # admissible inputs; study boxes must stay inside
+
+    def __post_init__(self):
+        dimension = integer("dimension", self.dimension, low=1)
+        object.__setattr__(self, "dimension", dimension)
+        if not callable(self.fn):
+            raise ValueError(f"fn must be callable, got {self.fn!r}")
+        if self.domain is not None and self.domain.dimension != dimension:
+            raise ValueError(f"domain has dimension {self.domain.dimension}, "
+                             f"the model {dimension}")
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         out = np.asarray(self.fn(as_points(points, self.dimension), **self.parameters),

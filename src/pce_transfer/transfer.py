@@ -31,7 +31,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, finite_real, integer
 from .gaussian import GaussianDist, _solve_factor
 
 OBJECTIVES = ("EDF", "KLD", "ME", "DS")
@@ -56,7 +56,7 @@ class WhitenedFrame:
 
     def __init__(self, source: GaussianDist, target: GaussianDist):
         if source.dim != target.dim:
-            raise NumericError(f"dimension mismatch: {source.dim} vs {target.dim}")
+            raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
         L_t = target.chol
         try:
             _, sigma, Ut = np.linalg.svd(_solve_factor(source.chol, L_t))
@@ -130,7 +130,7 @@ class TransferProblem:
 
     def __post_init__(self):
         if self.source.dim != self.target.dim:
-            raise NumericError(f"dimension mismatch: {self.source.dim} vs {self.target.dim}")
+            raise ValueError(f"dimension mismatch: {self.source.dim} vs {self.target.dim}")
         name = str(self.objective).upper()
         if name not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}; choose from {OBJECTIVES}")
@@ -176,6 +176,13 @@ def fuse(prior: GaussianDist, lik: GaussianDist) -> GaussianDist:
     return WhitenedFrame(prior, lik).posterior(1.0)
 
 
+def _lowest_beta(objective: str, beta_floor: float) -> float:
+    """Where the beta range starts: 0 for EDF, else beta_floor, which must lie in (0, 1)."""
+    if not (finite_real(beta_floor) and 0.0 < beta_floor < 1.0):
+        raise ValueError(f"beta_floor must lie in (0, 1), got {beta_floor!r}")
+    return 0.0 if objective == "EDF" else beta_floor
+
+
 def objective_value(prob: TransferProblem, beta: float,
                     beta_floor: float = DEFAULT_BETA_FLOOR) -> float:
     """Value of the problem's objective at one beta; larger is always better.
@@ -184,7 +191,7 @@ def objective_value(prob: TransferProblem, beta: float,
     curve exactly at the scan's own beta values; DS comes back on its linear
     scale, the exponential of the scan's log-DS.
     """
-    lo = 0.0 if prob.objective == "EDF" else beta_floor
+    lo = _lowest_beta(prob.objective, beta_floor)
     if not lo <= beta <= 1.0:
         raise DomainError(f"{prob.objective} needs beta in [{lo:g}, 1], got {beta}")
     value = prob.frame.value(prob.objective, beta)
@@ -221,10 +228,11 @@ def optimize_beta(prob: TransferProblem,
     A dense equispaced scan guards against local optima; golden-section
     refinement inside the bracketing interval of the best scan point then
     resolves beta to DEFAULT_REFINE_TOL.  Ties break toward larger beta (prefer
-    using the source when the objective is flat).
+    using the source when the objective is flat).  A scan_points below 2, or
+    a beta_floor outside (0, 1), raises ValueError.
     """
-    lo = 0.0 if prob.objective == "EDF" else beta_floor
-    grid = np.linspace(lo, 1.0, scan_points)
+    lo = _lowest_beta(prob.objective, beta_floor)
+    grid = np.linspace(lo, 1.0, integer("scan_points", scan_points, low=2))
     frame = prob.frame
     values = frame.values(prob.objective, grid)
     if not np.all(np.isfinite(values)):

@@ -81,6 +81,19 @@ class TestDomainBox:
         np.testing.assert_allclose(moved.lower, [0.0, 1.5])
         np.testing.assert_allclose(moved.upper, [1.0, 2.5])
 
+    @pytest.mark.parametrize("axis", [-1, True, 2, 1.0, "0"])
+    def test_translate_rejects_an_axis_outside_the_box(self, axis):
+        box = DomainBox(np.zeros(2), np.ones(2))
+        with pytest.raises(ValueError, match="axis must be"):
+            box.translate(0.5, axis)
+
+    @pytest.mark.parametrize("bound", [{"a": 1}, [{"a": 1}], [None], "a"])
+    def test_non_numeric_bounds_raise_value_error(self, bound):
+        with pytest.raises(ValueError):
+            DomainBox(bound, np.ones(1))
+        with pytest.raises(ValueError):
+            BasisSpec.from_config({"dimension": 1, "degree": 1, "lower": bound, "upper": [1.0]})
+
 
 class TestToReference:
     BOX = DomainBox(np.array([-0.2]), np.array([0.3]))
@@ -175,7 +188,7 @@ class TestPointSetRule:
         assert as_points([0.1, 0.2, 0.3, 0.4], 2).tolist() == [[0.1, 0.2], [0.3, 0.4]]
         assert as_points(np.zeros((0, 2)), 2).shape == (0, 2)
         assert as_points(np.array([1, 2]), 2).dtype == float
-        for dimension in (0, -2, True, 1.0):  # GenerativeModel does not check its dimension
+        for dimension in (0, -2, True, 1.0):  # as_points checks the dimension it is given
             with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
                 as_points(np.zeros(3), dimension)
 
@@ -204,6 +217,20 @@ class TestPointSetRule:
                  lambda: ishigami_model().evaluate(X)]
         for site in sites:
             with pytest.raises(ValueError, match="expected 2-dimensional points"):
+                site()
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_coordinate_raises_value_error_everywhere(self, bad):
+        box = DomainBox(np.zeros(2), np.ones(2))
+        spec = BasisSpec(box, 1)
+        X = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
+        sites = [lambda: as_points(X, 2), lambda: to_reference(box, X),
+                 lambda: vandermonde(spec, X), lambda: Design(spec, X),
+                 lambda: CalibrationTask(spec, X, np.zeros(3)),
+                 lambda: ishigami_model().evaluate(X)]
+        for site in sites:
+            with pytest.raises(ValueError, match="finite"):
                 site()
 
 

@@ -165,6 +165,14 @@ class TestFit:
         assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", setting])) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("bound", ['lower={"a":1}', 'lower=[{"a":1}]'])
+    def test_non_numeric_bound_exits_2_without_output(self, cubic_dataset, tmp_path, capsys,
+                                                      bound):
+        out = tmp_path / "out"
+        assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", bound])) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_negative_jitter_is_rejected(self, cubic_dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", "jitter=-1"])) == 2
@@ -295,6 +303,16 @@ class TestTransfer:
                        "--set", f"source={art}", "--set", f"target={art}",
                        "--set", "objective=foo")
         assert code == 2
+        assert not out.exists()
+
+    def test_numeric_objective_exits_2(self, cubic_dataset, tmp_path, capsys):
+        art = self.make_artifact(cubic_dataset, tmp_path / "fit")
+        out = tmp_path / "tr"
+        code = run_cli("transfer", "--out", str(out),
+                       "--set", f"source={art}", "--set", f"target={art}",
+                       "--set", "objective=5")
+        assert code == 2
+        assert "unknown objective" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "transfer"])

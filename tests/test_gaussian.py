@@ -77,6 +77,12 @@ class TestGaussianDist:
 
 
 class TestLikelihood:
+    def test_non_finite_point_raises_value_error_not_linalg_error(self):
+        spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
+        with pytest.raises(ValueError, match="finite") as exc:
+            likelihood(CalibrationTask(spec, np.array([0.2, np.nan, 0.8]), np.zeros(3)))
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
     def test_constant_only_fit_is_sample_mean(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 0)
         task = CalibrationTask(spec, np.array([[0.2], [0.8]]), np.array([1.0, 3.0]),
@@ -305,7 +311,7 @@ class TestFuse:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(NumericError):
+        with pytest.raises(ValueError):
             fuse(rand_gaussian(rng, 2), rand_gaussian(rng, 3))
 
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from pce_transfer.basis import DomainBox
 from pce_transfer.errors import DomainError
 from pce_transfer.models import (
     SUBSURFACE_ENVELOPE,
+    GenerativeModel,
     cubic_model,
     cubic_truth,
     ishigami,
@@ -89,6 +91,25 @@ class TestGenerativeModel:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             cubic_model().evaluate(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dimension", [True, -2, 0, 1.5, "1"])
+    def test_bad_dimension_rejected_at_construction(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            GenerativeModel("z", dimension, lambda pts: pts[:, 0])
+
+    def test_numpy_integer_dimension_stored_as_int(self):
+        model = GenerativeModel("z", np.int64(2), lambda pts: pts[:, 0])
+        assert type(model.dimension) is int
+
+    def test_non_callable_fn_rejected(self):
+        with pytest.raises(ValueError, match="fn must be callable"):
+            GenerativeModel("z", 1, "x**2")
+
+    def test_domain_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="domain has dimension 5"):
+            GenerativeModel("z", 2, lambda pts: pts[:, 0], domain=SUBSURFACE_ENVELOPE)
+        box = DomainBox(np.zeros(2), np.ones(2))
+        assert GenerativeModel("z", 2, lambda pts: pts[:, 0], domain=box).domain is box
 
     def test_parameter_override_is_functional(self):
         base = ishigami_model(theta=0.0)

@@ -28,6 +28,7 @@ from oracles import (
 from pce_transfer.errors import DomainError, NumericError
 from pce_transfer.gaussian import GaussianDist
 from pce_transfer.transfer import (
+    OBJECTIVES,
     TransferProblem,
     fuse,
     objective_value,
@@ -383,5 +384,33 @@ class TestTransferProblemValidation:
     def test_dimension_mismatch_rejected(self):
         a = GaussianDist(np.zeros(1), np.eye(1))
         b = GaussianDist(np.zeros(2), np.eye(2))
-        with pytest.raises(NumericError):
+        with pytest.raises(ValueError):
             TransferProblem(a, b, "EDF")
+
+
+class TestScanSettings:
+    """optimize_beta and objective_value check their own scan settings."""
+
+    D = GaussianDist(np.zeros(1), np.eye(1))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("scan_points", [0, 1, 2.5, True])
+    def test_bad_scan_points_rejected(self, objective, scan_points):
+        with pytest.raises(ValueError, match="scan_points"):
+            optimize_beta(TransferProblem(self.D, self.D, objective), scan_points=scan_points)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("beta_floor", [0, -0.5, 1, 2.0, float("nan"), "small"])
+    def test_bad_beta_floor_rejected(self, objective, beta_floor):
+        prob = TransferProblem(self.D, self.D, objective)
+        with pytest.raises(ValueError, match="beta_floor"):
+            optimize_beta(prob, beta_floor=beta_floor)
+        with pytest.raises(ValueError, match="beta_floor"):
+            objective_value(prob, 0.5, beta_floor=beta_floor)
+
+    def test_floor_starts_the_scan_except_under_edf(self):
+        for objective in OBJECTIVES:
+            res = optimize_beta(TransferProblem(self.D, self.D, objective), scan_points=11,
+                                beta_floor=0.25)
+            assert res.betas[0] == (0.0 if objective == "EDF" else 0.25)
+            assert 0.0 <= res.beta_star <= 1.0
