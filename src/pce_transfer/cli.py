@@ -1,4 +1,4 @@
-"""Command-line interface: fit, transfer, sweep, and reproduction commands.
+"""Command-line interface: fit, transfer, and one reproduction command per study.
 
 Configuration is a single JSON file; every key can also be set or overridden
 on the command line with repeatable --set key=value flags (values are parsed
@@ -53,7 +53,7 @@ REPRO_COMMANDS = {f"repro-{name}": name for name in STUDIES}
 EXPERIMENT_KEYS = ("n_trials", "seed", "objective", "degrees", "noise_sd",
                    "likelihood_noise_sd", "lpfp_noise_var", "n_source", "n_target",
                    "n_val", "sampler")
-SWEEP_KEYS = {*EXPERIMENT_KEYS, "scenario", "shifts", "sweep_param", "bands"}
+SWEEP_KEYS = {*EXPERIMENT_KEYS, "shifts", "sweep_param", "bands"}
 
 
 class UsageError(ValueError):
@@ -141,8 +141,7 @@ def read_trial_csv(path: Path, config_line: str, n_trials: int) -> list[TrialRec
                 or [row[:1] for row in rows] != [[str(t)] for t in range(n_trials)]
                 or any(len(row) != len(header) for row in rows)):
             return None
-        return [TrialRecord(int(trial), *map(float, scores), status=status)
-                for trial, *scores, status in rows]
+        return [TrialRecord.from_csv_row(row) for row in rows]
     except (FileNotFoundError, ValueError, csv.Error):  # ValueError: bad bytes, cells or rows
         return None
 
@@ -226,60 +225,59 @@ def cmd_transfer(cfg: dict, out_dir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sweep / repro
+# repro
 # ---------------------------------------------------------------------------
 
-def build_scenarios(cfg: dict) -> list[tuple[str, object, tuple]]:
-    """Resolve the scenario name plus overrides into (tag, config, shifts)."""
+def build_scenarios(cfg: dict) -> tuple[list[tuple[str, object, tuple]], dict]:
+    """Check every study key of cfg; return its study's sweeps as (tag, config, shifts)
+    and its bands as label -> shift, empty when bands are off."""
     name = cfg.get("scenario")
     if not isinstance(name, str) or name not in STUDIES:
         raise UsageError(f"scenario must be one of {list(STUDIES)}, got {name!r}")
-    scenarios = STUDIES[name].sweeps
+    _, sweeps, targets = STUDIES[name]
     if "sweep_param" in cfg:
-        param, tags = cfg["sweep_param"], [tag for tag, _, _ in scenarios]
+        param, tags = cfg["sweep_param"], [tag for tag, _, _ in sweeps]
         if len(tags) < 2:
             raise UsageError(f"sweep_param applies to a study of several sweeps, not {name!r}")
-        if param != "both" and param not in tags:
-            raise UsageError(f"sweep_param must be one of {tags} or 'both', got {param!r}")
-        scenarios = [sweep for sweep in scenarios if param in ("both", sweep[0])]
+        if param not in tags:
+            raise UsageError(f"sweep_param must be one of {tags}, got {param!r}")
+        sweeps = [sweep for sweep in sweeps if sweep[0] == param]
     shifts = cfg.get("shifts")
     if shifts is not None and not (isinstance(shifts, list) and shifts
                                    and all(map(finite_real, shifts))):
         raise UsageError(f"shifts must be a non-empty list of finite numbers, got {shifts!r}")
-    overrides = {key: cfg[key] for key in EXPERIMENT_KEYS if key in cfg}
-    resolved = [(tag, dataclasses.replace(exp_cfg, **overrides),
-                 tuple(map(float, shifts or default_shifts)))
-                for tag, exp_cfg, default_shifts in scenarios]
-    for _, exp_cfg, sweep_shifts in resolved:
-        for shift in sweep_shifts:
-            exp_cfg.with_shift(shift)  # checks the shifted boxes against the model
-    return resolved
-
-
-def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> int:
-    scenarios = build_scenarios(cfg)
-    targets = STUDIES[cfg["scenario"]].band_targets
     wanted = cfg.get("bands", bool(targets))
     if type(wanted) is not bool or (wanted and not targets):
         raise UsageError(f"bands must be false, or true for a study with bands, got {wanted!r}")
-    bands = targets if wanted else {}
+    overrides = {key: cfg[key] for key in EXPERIMENT_KEYS if key in cfg}
+    resolved = [(tag, dataclasses.replace(exp_cfg, **overrides),
+                 tuple(map(float, shifts or default_shifts)))
+                for tag, exp_cfg, default_shifts in sweeps]
+    for _, exp_cfg, sweep_shifts in resolved:
+        for shift in sweep_shifts:
+            exp_cfg.with_shift(shift)  # checks the shifted boxes against the model
+    return resolved, targets if wanted else {}
+
+
+def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> int:
+    sweeps, bands = build_scenarios(cfg)
     # One pool serves every shift of every sweep.  It forks all its workers at
     # the first map, so workers beyond the largest shift's trials would idle.
     # The fork comes before this process has run any trial algebra, which
     # keeps the workers' resident sets small.
-    workers = min(workers, max(exp_cfg.n_trials for _, exp_cfg, _ in scenarios))
+    workers = min(workers, max(exp_cfg.n_trials for _, exp_cfg, _ in sweeps))
     if workers == 1:
-        return run_sweeps(cfg, scenarios, bands, out_dir, force, pool=None, pool_broke=())
+        return run_sweeps(cfg, sweeps, bands, out_dir, force, pool=None, pool_broke=())
     # Imported here: a serial run never loads the pool or multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return run_sweeps(cfg, scenarios, bands, out_dir, force, pool=pool,
+        return run_sweeps(cfg, sweeps, bands, out_dir, force, pool=pool,
                           pool_broke=BrokenProcessPool)
 
 
-def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bool,
+def run_sweeps(cfg: dict, sweeps: list, bands: dict, out_dir: Path, force: bool,
                pool, pool_broke) -> int:
     """Run or resume every shift of every sweep; write shards, tables, bands and summary.
 
@@ -292,15 +290,13 @@ def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bo
     """
     summary: dict = {"config": cfg, "sweeps": {}}
     failures = []
-    for tag, exp_cfg, shifts in scenarios:
-        sweep_dir = out_dir / tag if tag else out_dir
-        resolved = dict(cfg)
-        resolved["resolved_experiment"] = exp_cfg.to_dict()
-        resolved["shifts"] = list(shifts)
+    for tag, exp_cfg, shifts in sweeps:
+        name = tag or "default"
+        sweep_dir = out_dir / tag
+        resolved = {**cfg, "resolved_experiment": exp_cfg.to_dict(), "shifts": list(shifts)}
         config_line = canonical_config_line(resolved)
 
-        records_by_degree = {d: [] for d in exp_cfg.degrees}
-        aggregates_by_degree = {d: [] for d in exp_cfg.degrees}
+        per_shift = []  # each shift's {degree: records}, in shift order
         for idx, shift in enumerate(shifts):
             shard_paths = {
                 d: sweep_dir / "shards" / f"shift_{idx:03d}_d{d}.csv"
@@ -314,24 +310,24 @@ def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bo
                 try:
                     by_degree = run_shift(exp_cfg, shift, pool=pool)
                 except pool_broke as exc:
-                    print(f"error: a worker process died in sweep {tag or 'default'}, "
-                          f"shift {shift}: {exc}", file=sys.stderr)
+                    print(f"error: a worker process died in sweep {name}, shift {shift}: {exc}",
+                          file=sys.stderr)
                     return 1
                 for d, recs in by_degree.items():
                     write_csv(shard_paths[d], TRIAL_CSV_COLUMNS,
                               [r.as_csv_row() for r in recs], resolved)
+            per_shift.append(by_degree)
             for d, recs in by_degree.items():
-                records_by_degree[d].extend(recs)
-                aggregates_by_degree[d].append(aggregate_records(shift, recs))
                 if not any(r.ok for r in recs):
-                    failures.append(f"every trial failed in sweep {tag or 'default'}, "
+                    failures.append(f"every trial failed in sweep {name}, "
                                     f"shift {shift}, degree {d}")
 
         sweep_summary: dict = {"degrees": {}}
         for d in exp_cfg.degrees:
             write_csv(sweep_dir / f"trials_d{d}.csv", TRIAL_CSV_COLUMNS,
-                      [r.as_csv_row() for r in records_by_degree[d]], resolved)
-            aggregates = aggregates_by_degree[d]
+                      [r.as_csv_row() for recs in per_shift for r in recs[d]], resolved)
+            aggregates = [aggregate_records(shift, recs[d])
+                          for shift, recs in zip(shifts, per_shift)]
             write_csv(sweep_dir / f"aggregate_d{d}.csv", AGGREGATE_CSV_COLUMNS,
                       [[row[c] for c in AGGREGATE_CSV_COLUMNS] for row in aggregates],
                       resolved)
@@ -344,13 +340,13 @@ def run_sweeps(cfg: dict, scenarios: list, bands: dict, out_dir: Path, force: bo
                 try:
                     rows = pfp_bands(exp_cfg, band_shift, d)
                 except (CalibrationError, NumericError) as exc:
-                    failures.append(f"band {label} failed in sweep {tag or 'default'}, "
+                    failures.append(f"band {label} failed in sweep {name}, "
                                     f"shift {band_shift}, degree {d}: {exc}")
                     continue
                 write_csv(sweep_dir / f"bands_{label}_d{d}.csv", BAND_CSV_COLUMNS, rows,
                           resolved)
 
-        summary["sweeps"][tag or "default"] = sweep_summary
+        summary["sweeps"][name] = sweep_summary
     write_json(out_dir / "summary.json", summary)
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
@@ -378,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("fit", "fit a coefficient likelihood to a CSV dataset"),
         ("transfer", "optimize the tempering exponent between two posteriors"),
-        ("sweep", "run a configured shift sweep"),
         *((command, STUDIES[study].description) for command, study in REPRO_COMMANDS.items()),
     ]:
         p = sub.add_parser(name, help=help_text)
@@ -411,10 +406,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config, args.set, SWEEP_KEYS)
-        scenario = REPRO_COMMANDS.get(args.command, cfg.get("scenario"))  # sweep: as set
-        if cfg.get("scenario", scenario) != scenario:
-            raise UsageError(f"{args.command} fixes scenario={scenario!r}; drop the override")
-        cfg["scenario"] = scenario
+        cfg["scenario"] = REPRO_COMMANDS[args.command]
         if args.seed is not None:
             cfg["seed"] = args.seed
         return run_sweep_command(cfg, out_dir, workers=args.workers, force=args.force)

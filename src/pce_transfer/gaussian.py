@@ -36,7 +36,7 @@ def _solve_factor(F: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianDist:
-    """Multivariate normal with mean vector and SPD covariance."""
+    """Multivariate normal with mean vector and SPD covariance; bad shapes raise ValueError."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -45,9 +45,9 @@ class GaussianDist:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise NumericError("covariance must be a square matrix")
+            raise ValueError("covariance must be a square matrix")
         if mean.shape[0] != cov.shape[0]:
-            raise NumericError("mean length does not match covariance order")
+            raise ValueError("mean length does not match covariance order")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise NumericError("mean and covariance must be finite")
         scale = max(np.abs(cov).max(), 1e-300)
@@ -107,6 +107,8 @@ class CalibrationTask:
         Y = np.asarray(self.Y, dtype=float).ravel()
         if X.shape[0] != Y.shape[0]:
             raise ValueError("X and Y have different numbers of samples")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("Y must be finite; an output is NaN or infinite")
         nv = self.noise_var
         if nv is not None and not (finite_real(nv) and nv > 0):
             raise ValueError(f"noise_var must be positive and finite when given, got {nv!r}")

@@ -61,8 +61,7 @@ def sample(box: DomainBox, n: int, sampler: str, seed: int) -> np.ndarray:
     uniformly placed within it and permuted across dimensions.
     uniform: i.i.d. uniform over the box.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    n = integer("sample count", n, low=1)
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}; choose from {SAMPLERS}")
     rng = np.random.default_rng(seed)
@@ -159,13 +158,11 @@ class ExperimentConfig:
                     )
 
     def with_shift(self, shift: float) -> "ExperimentConfig":
-        """Resolve one sweep point: move the target box or the target task."""
+        """Resolve one sweep point: the target box or task moved by shift from the template's."""
+        box = self.target_box
         if self.shift_mode == "target-box":
-            return replace(
-                self, shift=float(shift),
-                target_box=self.target_box.translate(float(shift), axis=self.shift_axis),
-            )
-        return replace(self, shift=float(shift))
+            box = box.translate(float(shift) - self.shift, axis=self.shift_axis)
+        return replace(self, shift=float(shift), target_box=box)
 
     def target_model(self) -> GenerativeModel:
         if self.shift_mode == "model-param":
@@ -220,6 +217,11 @@ class TrialRecord:
     def as_csv_row(self) -> list:
         return [getattr(self, c) for c in TRIAL_CSV_COLUMNS]
 
+    @classmethod
+    def from_csv_row(cls, row: list[str]) -> "TrialRecord":
+        trial, *scores, status = row
+        return cls(int(trial), *map(float, scores), status=status)
+
 
 TRIAL_CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
@@ -240,24 +242,25 @@ def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
     """Sample and evaluate all datasets for one trial.
 
     Training outputs carry injected Gaussian noise of sd cfg.noise_sd;
-    validation outputs are noise-free truth.
+    validation outputs are noise-free truth.  A non-finite output raises NumericError.
     """
-    seed = cfg.seed
     X_s = sample(cfg.source_box, cfg.n_source, cfg.sampler,
-                 derive_seed(seed, trial, "source-points"))
+                 derive_seed(cfg.seed, trial, "source-points"))
     X_t = sample(cfg.target_box, cfg.n_target, cfg.sampler,
-                 derive_seed(seed, trial, "target-points"))
+                 derive_seed(cfg.seed, trial, "target-points"))
     X_v = sample(cfg.target_box, cfg.n_val, cfg.sampler,
-                 derive_seed(seed, trial, "validation-points"))
+                 derive_seed(cfg.seed, trial, "validation-points"))
     target_model = cfg.target_model()
     y_s = cfg.model.evaluate(X_s)
     y_t = target_model.evaluate(X_t)
     y_v = target_model.evaluate(X_v)
     if cfg.noise_sd > 0:
-        rng_s = np.random.default_rng(derive_seed(seed, trial, "source-noise"))
-        rng_t = np.random.default_rng(derive_seed(seed, trial, "target-noise"))
+        rng_s = np.random.default_rng(derive_seed(cfg.seed, trial, "source-noise"))
+        rng_t = np.random.default_rng(derive_seed(cfg.seed, trial, "target-noise"))
         y_s = y_s + cfg.noise_sd * rng_s.standard_normal(cfg.n_source)
         y_t = y_t + cfg.noise_sd * rng_t.standard_normal(cfg.n_target)
+        if not (np.all(np.isfinite(y_s)) and np.all(np.isfinite(y_t))):
+            raise NumericError("the injected noise overflowed a training output")
     return TrialData(X_s, y_s, X_t, y_t, X_v, y_v)
 
 

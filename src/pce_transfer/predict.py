@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, vandermonde
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, finite_real
 from .gaussian import GaussianDist
 
 # Marginal variances below this are clamped before taking logs; scores that
@@ -60,11 +60,13 @@ def pushforward(posterior: GaussianDist, design: Design,
                 noise_var: float = 0.0) -> PfpPrediction:
     """Push a coefficient posterior through the basis map at a design's points.
 
-    noise_var > 0 adds observation noise to every marginal variance; the
-    default 0 scores the model alone.  The variances are the row sums of
-    (A L)**2 for the posterior's Cholesky factor L, which cost O(m p) and
-    cannot go negative by round-off.
+    noise_var, finite and >= 0, adds observation noise to every marginal
+    variance; the default 0 scores the model alone.  The variances are the
+    row sums of (A L)**2 for the posterior's Cholesky factor L, which cost
+    O(m p) and cannot go negative by round-off.
     """
+    if not (finite_real(noise_var) and noise_var >= 0):
+        raise ValueError(f"noise_var must be a non-negative finite number, got {noise_var!r}")
     A = design.matrix
     if posterior.dim != A.shape[1]:
         raise ValueError(

@@ -77,6 +77,8 @@ class WhitenedFrame:
 
     def whitened(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
         """z and v with posterior(beta) = N(F z, F diag(v) F^T): through A, mean (A F) z."""
+        if not 0.0 <= beta <= 1.0:
+            raise DomainError(f"tempering exponent must lie in [0, 1], got {beta}")
         shrink = 1.0 / (1.0 + beta * self.w)
         return (self.m_t + beta * self.w * self.m_s) * shrink, shrink
 
@@ -166,8 +168,6 @@ class BetaResult:
 
 def tempered_posterior(prob: TransferProblem, beta: float) -> GaussianDist:
     """Fuse the tempered source with the target; beta = 0 returns the target."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"tempering exponent must lie in [0, 1], got {beta}")
     return prob.target if beta == 0.0 else prob.frame.posterior(beta)
 
 

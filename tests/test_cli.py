@@ -15,6 +15,7 @@ import pce_transfer
 from pce_transfer import basis, cli, harness
 from pce_transfer.cli import main
 from pce_transfer.models import cubic_truth
+from pce_transfer.scenarios import STUDIES
 
 RUN_TRIAL = harness.run_trial
 
@@ -654,15 +655,40 @@ REJECTED_SWEEP_SETTINGS = [
 
 
 class TestSweepCommand:
-    def test_generic_sweep_requires_scenario(self, tmp_path):
-        assert run_cli("sweep", "--out", str(tmp_path / "x")) == 2
-
-    @pytest.mark.parametrize("scenario", ['["cubic"]', '{"cubic":1}', "null", "cubes"])
-    def test_unknown_scenario_exits_2_without_output(self, tmp_path, capsys, scenario):
-        out = tmp_path / "x"
-        assert run_cli("sweep", "--out", str(out), "--set", f"scenario={scenario}") == 2
-        assert capsys.readouterr().err.startswith("error: scenario must be one of")
+    def test_a_study_runs_only_through_its_repro_command(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--out", str(tmp_path / "x"), "--set", "scenario=cubic")
+        assert exc.value.code == 2
+        assert "invalid choice: 'sweep'" in capsys.readouterr().err
+        out = tmp_path / "cubic"
+        assert run_cli("repro-cubic", "--out", str(out), "--set", "scenario=cubic") == 2
+        assert capsys.readouterr().err.startswith("error: unknown config keys ['scenario']")
         assert not out.exists()
+
+    @pytest.mark.parametrize("study", ["cubic", "ishigami", "subsurface-synthetic"])
+    def test_build_scenarios_returns_the_sweeps_and_their_bands(self, study):
+        sweeps, bands = cli.build_scenarios({"scenario": study})
+        assert [(tag, shifts) for tag, _, shifts in sweeps] == [
+            (tag, tuple(map(float, shifts))) for tag, _, shifts in STUDIES[study].sweeps]
+        assert bands == STUDIES[study].band_targets
+        assert cli.build_scenarios({"scenario": study, "bands": False})[1] == {}
+
+    @pytest.mark.parametrize("cfg,message", [
+        ({}, "scenario must be one of"),
+        ({"scenario": ["cubic"]}, "scenario must be one of"),
+        ({"scenario": {"cubic": 1}}, "scenario must be one of"),
+        ({"scenario": None}, "scenario must be one of"),
+        ({"scenario": "cubes"}, "scenario must be one of"),
+        ({"scenario": "cubic", "sweep_param": "z2"}, "sweep_param applies to a study"),
+        ({"scenario": "subsurface-synthetic", "sweep_param": "both"}, "sweep_param must be"),
+        ({"scenario": "cubic", "shifts": []}, "shifts must be"),
+        ({"scenario": "ishigami", "bands": True}, "bands must be"),
+        ({"scenario": "cubic", "bands": 1}, "bands must be"),
+        ({"scenario": "cubic", "n_trials": 0}, "n_trials must be"),
+    ])
+    def test_build_scenarios_checks_every_study_key(self, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            cli.build_scenarios(cfg)
 
     @pytest.mark.parametrize("command", ["repro-cubic", "repro-ishigami"])
     @pytest.mark.parametrize("setting", REJECTED_SWEEP_SETTINGS)
@@ -762,7 +788,7 @@ class TestSweepCommand:
                     "rmse_b1_mean"):
             assert len(table[col]) == 2
 
-    @pytest.mark.parametrize("param", ["z3", '["z2"]', '{"z2":1}', "null"])
+    @pytest.mark.parametrize("param", ["z3", '["z2"]', '{"z2":1}', "null", "both"])
     def test_unknown_subsurface_sweep_param_exits_2(self, tmp_path, param):
         out = tmp_path / "sub"
         code = run_cli("repro-subsurface-synthetic", "--out", str(out),
@@ -781,8 +807,7 @@ class TestSweepCommand:
 
     def test_subsurface_single_param_layout(self, tmp_path):
         out = tmp_path / "sub"
-        code = run_cli("sweep", "--out", str(out),
-                       "--set", "scenario=subsurface-synthetic",
+        code = run_cli("repro-subsurface-synthetic", "--out", str(out),
                        "--set", "sweep_param=z2",
                        "--set", "n_trials=1",
                        "--set", "shifts=[0.0]",
@@ -791,3 +816,14 @@ class TestSweepCommand:
         assert (out / "z2" / "trials_d3.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert "z2" in summary["sweeps"]
+
+    def test_subsurface_without_sweep_param_runs_both_sweeps(self, tmp_path):
+        out = tmp_path / "sub"
+        code = run_cli("repro-subsurface-synthetic", "--out", str(out), "--set", "n_trials=1",
+                       "--set", "shifts=[0.0]", "--set", "n_val=20")
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["sweeps"]) == {"z2", "R3"}
+        assert summary["config"]["scenario"] == "subsurface-synthetic"
+        for tag in ("z2", "R3"):
+            assert (out / tag / "trials_d3.csv").exists()

@@ -68,6 +68,15 @@ class TestGaussianDist:
         with pytest.raises(NumericError, match="finite"):
             GaussianDist(mean, cov)
 
+    @pytest.mark.parametrize("mean,cov", [
+        (np.zeros(2), np.eye(3)), (np.zeros(3), np.eye(2)), (np.zeros(2), np.zeros((2, 3))),
+        (np.zeros(2), np.zeros(2)),
+    ])
+    def test_shapes_that_disagree_are_value_errors(self, mean, cov):
+        with pytest.raises(ValueError) as exc:
+            GaussianDist(mean, cov)
+        assert not isinstance(exc.value, NumericError)
+
     def test_record_round_trip(self):
         rng = np.random.default_rng(0)
         d = rand_gaussian(rng, 4)
@@ -82,6 +91,12 @@ class TestLikelihood:
         with pytest.raises(ValueError, match="finite") as exc:
             likelihood(CalibrationTask(spec, np.array([0.2, np.nan, 0.8]), np.zeros(3)))
         assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_rejected_when_the_task_is_built(self, bad):
+        spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationTask(spec, np.array([0.2, 0.5, 0.8]), [1.0, bad, 2.0], noise_var=0.01)
 
     def test_constant_only_fit_is_sample_mean(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 0)

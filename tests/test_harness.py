@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pce_transfer.basis import BasisSpec, DomainBox
+from pce_transfer.errors import DomainError
 from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
 from pce_transfer.harness import (
     AGGREGATE_CSV_COLUMNS,
@@ -91,6 +92,11 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(self.BOX, 5, "sobol", 0)
 
+    @pytest.mark.parametrize("n", [2.5, True, 0, -3, "4"])
+    def test_count_that_is_not_a_positive_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="sample count must be an integer >= 1"):
+            sample(self.BOX, n, "uniform", 0)
+
 
 class TestExperimentConfig:
     def test_under_determined_degree_rejected(self):
@@ -106,6 +112,18 @@ class TestExperimentConfig:
         assert cfg.shift == 1.5
         np.testing.assert_allclose(cfg.target_box.lower, [1.35])
         np.testing.assert_allclose(cfg.target_box.upper, [1.75])
+
+    @pytest.mark.parametrize("scenario", [cubic_scenario, ishigami_scenario])
+    def test_shift_is_absolute_from_the_template(self, scenario):
+        template = scenario()[0]
+        once, twice = template.with_shift(1.0), template.with_shift(1.0).with_shift(1.0)
+        assert twice.shift == once.shift == 1.0
+        np.testing.assert_array_equal(twice.target_box.lower, once.target_box.lower)
+        np.testing.assert_array_equal(twice.target_box.upper, once.target_box.upper)
+        assert twice.target_model().parameters == once.target_model().parameters
+        back = once.with_shift(0.0)
+        np.testing.assert_allclose(back.target_box.lower, template.target_box.lower)
+        assert back.target_model().parameters == template.target_model().parameters
 
     def test_shift_outside_the_model_domain_rejected(self):
         cfg, shifts = subsurface_scenario("z2")
@@ -248,6 +266,15 @@ class TestRunTrial:
         assert "condition number" in rec.status
         assert np.isnan(rec.beta_star)
 
+    def test_overflowing_injected_noise_fails_its_trial(self):
+        # Noise of sd 1e308 overflows training outputs to infinity.  The trial
+        # records that failure; CalibrationTask's ValueError must not escape it.
+        cfg = small_cubic_cfg(noise_sd=1e308, degrees=(1, 3))
+        with np.errstate(over="ignore"):
+            records = run_trial(cfg, 0)
+        assert [r.status for r in records.values()] == [
+            "failed: the injected noise overflowed a training output"] * 2
+
     def test_model_failure_fails_its_trial_at_every_degree(self):
         # Source points above x = 0.29 hit the gap in trials 2 and 5 only; a
         # failing trial must not abort the shift or touch the other trials.
@@ -319,6 +346,18 @@ class TestModePredictions:
         assert preds["bstar"] is preds["b0"]
         assert list(preds) == ["b0", "bstar", "b1"]
 
+    @pytest.mark.parametrize("beta_star", [1.5, -1.0, float("nan")])
+    def test_beta_star_outside_0_1_rejected(self, beta_star):
+        prob, design = scenario_problem(cubic_scenario()[0], 3)
+        with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+            mode_predictions(prob, beta_star, design)
+
+    @pytest.mark.parametrize("noise_var", [-1.0, float("nan"), float("inf"), True])
+    def test_bad_noise_var_rejected(self, noise_var):
+        prob, design = scenario_problem(cubic_scenario()[0], 3)
+        with pytest.raises(ValueError, match="noise_var must be a non-negative finite number"):
+            mode_predictions(prob, 0.5, design, noise_var=noise_var)
+
 
 class TestTrialIndependenceAndSweep:
     def test_trial_records_independent_of_subset(self):
@@ -386,6 +425,23 @@ class TestTrialIndependenceAndSweep:
         assert agg["n_trials"] == 2
         assert agg["n_failed"] == 1
         assert agg["beta_star_mean"] == 1.0
+
+    def test_csv_row_round_trips_through_its_text(self):
+        import csv
+        import io
+
+        from pce_transfer.harness import TrialRecord, _failed_record
+
+        records = [TrialRecord(0, 0.1, 1 / 3, -1e-300, -0.5, 2e300, 0.3, 0.2, 0.1),
+                   _failed_record(1, 0.1, "synthetic, with a comma")]
+        buffer = io.StringIO(newline="")
+        csv.writer(buffer).writerows(r.as_csv_row() for r in records)
+        rows = list(csv.reader(io.StringIO(buffer.getvalue(), newline="")))
+        again = [TrialRecord.from_csv_row(row) for row in rows]
+        assert [r.as_csv_row() for r in again[:1]] == [records[0].as_csv_row()]
+        assert again[1].status == records[1].status and np.isnan(again[1].beta_star)
+        with pytest.raises(ValueError):
+            TrialRecord.from_csv_row(["0.5", *rows[0][1:]])
 
 
 class TestBands:

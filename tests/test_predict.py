@@ -104,6 +104,13 @@ class TestPushforward:
         with pytest.raises(ValueError):
             pushforward(post, Design(spec, np.array([[0.0]])))
 
+    @pytest.mark.parametrize("noise_var", [-1.0, -1e-300, float("nan"), float("inf"), "0.1"])
+    def test_negative_or_non_finite_noise_var_rejected(self, noise_var):
+        spec = BasisSpec.total_order(UNIT_BOX, 0)
+        post = GaussianDist(np.array([1.7]), np.array([[0.04]]))
+        with pytest.raises(ValueError, match="noise_var must be a non-negative finite number"):
+            pushforward(post, Design(spec, np.array([[0.2]])), noise_var=noise_var)
+
     def test_marginals_at_many_points_match_dense_diagonal(self):
         # 1e5 points: the m x m covariance would need 80 GB, the marginals 0.8 MB.
         rng = np.random.default_rng(8)

@@ -95,6 +95,13 @@ class TestTemperedPosterior:
         prob = rand_problem(rng, 3, "EDF")
         assert tempered_posterior(prob, 0.0) is prob.target
 
+    @pytest.mark.parametrize("beta", [-1.0, 1.5, float("nan")])
+    def test_beta_outside_0_1_rejected_by_the_frame(self, beta):
+        prob = rand_problem(np.random.default_rng(2), 3, "EDF")
+        for read in (lambda b: tempered_posterior(prob, b), prob.frame.whitened):
+            with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
+                read(beta)
+
     def test_beta_one_equals_plain_fuse(self):
         rng = np.random.default_rng(3)
         prob = rand_problem(rng, 4, "EDF")
