@@ -138,8 +138,7 @@ def read_trial_csv(path: Path, config_line: str, n_trials: int) -> list[TrialRec
         head, _, body = text.partition("\n")
         header, *rows = csv.reader(io.StringIO(body, newline=""))
         if (head != config_line or not text.endswith("\n") or header != list(TRIAL_CSV_COLUMNS)
-                or [row[:1] for row in rows] != [[str(t)] for t in range(n_trials)]
-                or any(len(row) != len(header) for row in rows)):
+                or [row[:1] for row in rows] != [[str(t)] for t in range(n_trials)]):
             return None
         return [TrialRecord.from_csv_row(row) for row in rows]
     except (FileNotFoundError, ValueError, csv.Error):  # ValueError: bad bytes, cells or rows

@@ -148,6 +148,8 @@ def likelihood_with_report(task: CalibrationTask,
             and finite_real(jitter) and jitter >= 0.0):
         raise ValueError("cond_ceiling must be positive and jitter non-negative, both finite, "
                          f"got {cond_ceiling!r} and {jitter!r}")
+    # numpy would hold an int past the int64 range as an object array.
+    cond_ceiling, jitter = float(cond_ceiling), float(jitter)
     p = task.basis.n_terms
     check_sample_count(task.n_samples, p)
     A = vandermonde(task.basis, task.X)

@@ -219,6 +219,9 @@ class TrialRecord:
 
     @classmethod
     def from_csv_row(cls, row: list[str]) -> "TrialRecord":
+        """The record of one CSV row; a row of the wrong length or a bad cell raises ValueError."""
+        if len(row) != len(TRIAL_CSV_COLUMNS):
+            raise ValueError(f"a trial row has {len(TRIAL_CSV_COLUMNS)} columns, got {len(row)}")
         trial, *scores, status = row
         return cls(int(trial), *map(float, scores), status=status)
 
@@ -278,9 +281,10 @@ def mode_predictions(prob: TransferProblem, beta_star: float, design: Design,
     """
     preds = {"b0": pushforward(tempered_posterior(prob, 0.0), design, noise_var=noise_var)}
     G = design.matrix @ prob.frame.F
+    G2 = G * G
     for tag, beta in (("bstar", beta_star), ("b1", 1.0)):
         z, var = prob.frame.whitened(beta)
-        preds[tag] = preds["b0"] if beta == 0.0 else PfpPrediction(G @ z, (G * G) @ var + noise_var)
+        preds[tag] = preds["b0"] if beta == 0.0 else PfpPrediction(G @ z, G2 @ var + noise_var)
     return preds
 
 

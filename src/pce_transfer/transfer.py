@@ -21,6 +21,8 @@ diagonalizes both precisions.  The beta scan, `objective_value`, the tempered
 posteriors and `fuse` (the frame at beta = 1) all read it.  The optimizer
 scans a dense grid, DS as log-DS so that it cannot underflow, and refines with
 golden-section search; `objective_value` reproduces a scan point bit for bit.
+The scan runs in blocks of fixed size in place, so its memory grows with the
+number of scan points, not with scan points times coefficients.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ OBJECTIVES = ("EDF", "KLD", "ME", "DS")
 DEFAULT_BETA_FLOOR = 1e-6
 DEFAULT_SCAN_POINTS = 1001
 DEFAULT_REFINE_TOL = 1e-6
+# The most doubles (512 KB) in each of the beta scan's two work arrays.
+SCAN_BLOCK_ELEMENTS = 2**16
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -89,32 +93,60 @@ class WhitenedFrame:
         return GaussianDist(mean=self.F @ z, cov=0.5 * (cov + cov.T))
 
     def values(self, objective: str, betas: np.ndarray) -> np.ndarray:
-        """The objective at each beta on the scan's scale: log-DS for DS."""
-        b = np.asarray(betas, dtype=float)[:, None]
+        """The objective at each beta on the scan's scale: log-DS for DS.
+
+        The betas run through two (rows, p) work arrays, SCAN_BLOCK_ELEMENTS
+        doubles at most each, rows at a time; every element sees the same
+        operations in the same order as the broadcast closed forms, so each
+        value is bit for bit independent of the block size.
+        """
+        betas = np.asarray(betas, dtype=float)
+        out = np.empty(betas.size)
+        k = self.w.size
+        rows = max(1, SCAN_BLOCK_ELEMENTS // k)
+        work = np.empty((2, min(rows, betas.size), k))
+        for start in range(0, betas.size, rows):
+            b = betas[start:start + rows, None]
+            out[start:start + b.shape[0]] = self._block(objective, b, *work[:, :b.shape[0]])
+        return out
+
+    def _block(self, objective: str, b: np.ndarray, bw: np.ndarray,
+               tmp: np.ndarray) -> np.ndarray:
+        """`values` at the column b of betas, in place in the work arrays bw and tmp."""
         w, m_t, m_s, k = self.w, self.m_t, self.m_s, self.w.size
+        np.multiply(b, w, out=bw)
         if objective == "EDF":
-            denom = 1.0 + b * w
-            mu_p = (m_t + b * w * m_s) / denom
-            quad = np.sum((mu_p - m_t) ** 2, axis=1)
-            trace = np.sum(1.0 / denom, axis=1)
+            denom = np.add(bw, 1.0, out=tmp)
+            gap = np.multiply(bw, m_s, out=bw)  # the posterior mean's shift from m_t
+            gap += m_t
+            gap /= denom
+            gap -= m_t
+            quad = np.square(gap, out=gap).sum(axis=1)
+            trace = np.divide(1.0, denom, out=denom).sum(axis=1)
             return -0.5 * (quad + trace + k * self.log2pi + self.logdet_t)
-        bw = b * w
         if objective == "KLD":
-            denom = 1.0 + bw
-            mu_p = (m_t + bw * m_s) / denom
-            return -0.5 * (np.sum(bw / denom, axis=1) + np.sum(bw * (mu_p - m_s) ** 2, axis=1)
-                           - k - np.sum(np.log(bw / denom), axis=1))
+            ratio = np.divide(bw, np.add(bw, 1.0, out=tmp), out=tmp)
+            ratio_sum = ratio.sum(axis=1)
+            log_ratio_sum = np.log(ratio, out=ratio).sum(axis=1)
+            gap = np.multiply(bw, m_s, out=tmp)  # the posterior mean's shift from m_s
+            gap += m_t
+            gap /= np.add(bw, 1.0, out=bw)
+            gap -= m_s
+            np.square(gap, out=gap)
+            gap *= np.multiply(b, w, out=bw)
+            return -0.5 * (ratio_sum + gap.sum(axis=1) - k - log_ratio_sum)
         if objective == "ME":
-            spread = 1.0 + 1.0 / bw
-            quad = np.sum((m_t - m_s) ** 2 / spread, axis=1)
-            logdet = np.sum(np.log(spread), axis=1)
+            spread = np.add(np.divide(1.0, bw, out=bw), 1.0, out=bw)
+            quad = np.divide((m_t - m_s) ** 2, spread, out=tmp).sum(axis=1)
+            logdet = np.log(spread, out=spread).sum(axis=1)
             return -0.5 * (k * self.log2pi + self.logdet_t + logdet + quad)
         # DS on the log scale: a far source drives DS itself below the
         # smallest double, which would flatten the scan to zeros.
-        var_st = 1.0 / bw + 1.0
-        l_st = -0.5 * (k * self.log2pi + np.sum(np.log(var_st), axis=1)
-                       + np.sum((m_s - m_t) ** 2 / var_st, axis=1))
-        l_ss = -0.5 * (k * self.log2pi + np.sum(np.log(2.0 / bw), axis=1))
+        log_ss = np.log(np.divide(2.0, bw, out=tmp), out=tmp).sum(axis=1)
+        var_st = np.add(np.divide(1.0, bw, out=bw), 1.0, out=bw)
+        quad = np.divide((m_s - m_t) ** 2, var_st, out=tmp).sum(axis=1)
+        l_st = -0.5 * (k * self.log2pi + np.log(var_st, out=var_st).sum(axis=1) + quad)
+        l_ss = -0.5 * (k * self.log2pi + log_ss)
         l_tt = -0.5 * (k * self.log2pi + k * np.log(2.0))
         return np.log(2.0) + l_st - np.logaddexp(l_ss, l_tt)
 

@@ -6,6 +6,8 @@ adaptive cubature, the conjugate update through SciPy Cholesky solves, and
 expectations through Monte-Carlo sampling.  The objectives also have a direct
 matrix form here, one beta at a time, to check the package's whitened solver
 against, and tempering and correlation matrices have their plain definitions.
+The beta scan's closed forms are also here in their plain broadcast form, over
+the whole (betas, p) grid at once, as the reference for the blocked kernel.
 The ridge regression mean has an exact rational solution.
 """
 
@@ -17,7 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from pce_transfer.errors import DomainError
 from pce_transfer.gaussian import GaussianDist
-from pce_transfer.transfer import TransferProblem, tempered_posterior
+from pce_transfer.transfer import TransferProblem, WhitenedFrame, tempered_posterior
 
 
 def rand_spd(rng, k, scale=1.0):
@@ -130,6 +132,39 @@ def direct_objective(prob: TransferProblem, beta: float) -> float:
     l_ss = log_product_integral(tempered, tempered)
     l_tt = log_product_integral(target, target)
     return float(2.0 * np.exp(l_st - np.logaddexp(l_ss, l_tt)))
+
+
+def broadcast_values(frame: WhitenedFrame, objective: str, betas) -> np.ndarray:
+    """`WhitenedFrame.values` as one broadcast over the (betas, p) grid, log-DS for DS.
+
+    The same operations in the same order as the blocked kernel, so the two
+    agree bit for bit.
+    """
+    b = np.asarray(betas, dtype=float)[:, None]
+    w, m_t, m_s, k = frame.w, frame.m_t, frame.m_s, frame.w.size
+    if objective == "EDF":
+        denom = 1.0 + b * w
+        mu_p = (m_t + b * w * m_s) / denom
+        quad = np.sum((mu_p - m_t) ** 2, axis=1)
+        trace = np.sum(1.0 / denom, axis=1)
+        return -0.5 * (quad + trace + k * frame.log2pi + frame.logdet_t)
+    bw = b * w
+    if objective == "KLD":
+        denom = 1.0 + bw
+        mu_p = (m_t + bw * m_s) / denom
+        return -0.5 * (np.sum(bw / denom, axis=1) + np.sum(bw * (mu_p - m_s) ** 2, axis=1)
+                       - k - np.sum(np.log(bw / denom), axis=1))
+    if objective == "ME":
+        spread = 1.0 + 1.0 / bw
+        quad = np.sum((m_t - m_s) ** 2 / spread, axis=1)
+        logdet = np.sum(np.log(spread), axis=1)
+        return -0.5 * (k * frame.log2pi + frame.logdet_t + logdet + quad)
+    var_st = 1.0 / bw + 1.0
+    l_st = -0.5 * (k * frame.log2pi + np.sum(np.log(var_st), axis=1)
+                   + np.sum((m_s - m_t) ** 2 / var_st, axis=1))
+    l_ss = -0.5 * (k * frame.log2pi + np.sum(np.log(2.0 / bw), axis=1))
+    l_tt = -0.5 * (k * frame.log2pi + k * np.log(2.0))
+    return np.log(2.0) + l_st - np.logaddexp(l_ss, l_tt)
 
 
 def mc_edf(prob, beta, n=1_000_000, seed=0):

@@ -180,6 +180,15 @@ class TestFit:
         assert "jitter non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jitter_past_the_int64_range_fits_like_its_float(self, cubic_dataset, tmp_path):
+        fits = []
+        for jitter in ("1" + "0" * 30, "1e30"):
+            out = tmp_path / jitter
+            assert run_cli(*fit_args(cubic_dataset, out, extra=["--set", f"jitter={jitter}"])) == 0
+            fits.append(json.loads((out / "posterior.json").read_text()))
+        big, real = fits
+        assert (big["posterior"], big["report"]) == (real["posterior"], real["report"])
+
     def test_point_outside_the_bounds_exits_2_without_output(self, cubic_dataset, tmp_path,
                                                              capsys):
         # The dataset spans [-0.2, 0.3]; a malformed dataset is a usage error.

@@ -442,6 +442,9 @@ class TestTrialIndependenceAndSweep:
         assert again[1].status == records[1].status and np.isnan(again[1].beta_star)
         with pytest.raises(ValueError):
             TrialRecord.from_csv_row(["0.5", *rows[0][1:]])
+        for cut_or_long in (["0", "0.1", "1"], [*rows[0], "ok"]):
+            with pytest.raises(ValueError, match="a trial row has 10 columns"):
+                TrialRecord.from_csv_row(cut_or_long)
 
 
 class TestBands:

@@ -5,7 +5,9 @@ oracles: Monte-Carlo expectations for EDF and KLD, adaptive quadrature of
 the defining integrals for ME and DS, and the plain matrix forms of all four.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    broadcast_values,
     correlation_matrix,
     direct_objective,
     log_pdf,
@@ -28,7 +31,9 @@ from oracles import (
 from pce_transfer.errors import DomainError, NumericError
 from pce_transfer.gaussian import GaussianDist
 from pce_transfer.transfer import (
+    DEFAULT_SCAN_POINTS,
     OBJECTIVES,
+    SCAN_BLOCK_ELEMENTS,
     TransferProblem,
     fuse,
     objective_value,
@@ -259,12 +264,46 @@ class TestObjectiveValues:
         rng = np.random.default_rng(19)
         for k in (1, 2, 10, 56):
             prob = rand_problem(rng, k, objective)
-            res = optimize_beta(prob)
-            for i in np.linspace(0, len(res.betas) - 1, 6).astype(int):
-                scanned = res.values[i]
-                if objective == "DS":  # scanned as log-DS
-                    scanned = math.exp(scanned)
-                assert objective_value(prob, res.betas[i]) == scanned, (k, i)
+            # 20_001 points are several scan blocks at k = 10 and 56.
+            for scan_points in (DEFAULT_SCAN_POINTS, 20_001):
+                res = optimize_beta(prob, scan_points=scan_points)
+                for i in np.linspace(0, len(res.betas) - 1, 6).astype(int):
+                    scanned = res.values[i]
+                    if objective == "DS":  # scanned as log-DS
+                        scanned = math.exp(scanned)
+                    assert objective_value(prob, res.betas[i]) == scanned, (k, scan_points, i)
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("k", [1, 4, 10, 56, 300])
+    def test_blocks_match_the_broadcast_formulas(self, objective, k):
+        prob = rand_problem(np.random.default_rng(k), k, objective)
+        frame = prob.frame
+        lo = 0.0 if objective == "EDF" else 1e-6
+        rows = SCAN_BLOCK_ELEMENTS // k
+        for n in (1, rows, rows + 1, 5 * rows + 3):  # one point, then 1, 2 and 6 blocks
+            betas = np.linspace(lo, 1.0, n)
+            assert np.array_equal(frame.values(objective, betas),
+                                  broadcast_values(frame, objective, betas)), n
+        betas = np.linspace(lo, 1.0, 7)
+        assert ([frame.value(objective, beta) for beta in betas]
+                == broadcast_values(frame, objective, betas).tolist())
+
+    def test_scan_memory_grows_with_points_not_points_times_p(self):
+        # Broadcast over the whole grid, one (100_001, 56) temporary is 45 MB.
+        base = rand_problem(np.random.default_rng(56), 56, "EDF")
+        problems = [dataclasses.replace(base, objective=objective) for objective in OBJECTIVES]
+        for prob in problems:
+            prob.frame  # factorized before the measurement
+        tracemalloc.start()
+        try:
+            for prob in problems:
+                tracemalloc.reset_peak()
+                optimize_beta(prob, scan_points=100_001)
+                assert tracemalloc.get_traced_memory()[1] < 16 * 2**20, prob.objective
+        finally:
+            tracemalloc.stop()
 
 
 class TestObjectiveOracles:
