@@ -27,7 +27,9 @@ from .basis import (
 from .errors import CalibrationError, DomainError, NumericError
 from .gaussian import (
     CalibrationTask,
+    DesignFactors,
     GaussianDist,
+    factorize,
     likelihood,
     likelihood_with_report,
 )

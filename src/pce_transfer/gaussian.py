@@ -7,7 +7,9 @@ noise_var * (A^T A)^{-1}).  Fusing Gaussians (the conjugate update) lives in
 solves go through QR or Cholesky factors, never explicit inverses of the
 design matrix.  The linear algebra is numpy's alone (`numpy.linalg`, one BLAS
 per process): every solve against a triangular factor goes through
-`_solve_factor`.
+`_solve_factor`.  A fit splits into `factorize`, the design's share, and
+`DesignFactors.fit`, the outputs' share, so one factorization serves every
+output vector observed at the same points.
 """
 
 from __future__ import annotations
@@ -88,6 +90,21 @@ class GaussianDist:
         return cls(mean=mean, cov=cov)
 
 
+def _outputs(Y, n_samples: int, noise_var: float | None) -> np.ndarray:
+    """Y as a vector of n_samples finite floats, with noise_var checked.
+
+    A bad Y or a noise_var that is given but not positive and finite raises ValueError.
+    """
+    Y = np.asarray(Y, dtype=float).ravel()
+    if Y.shape[0] != n_samples:
+        raise ValueError("X and Y have different numbers of samples")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite; an output is NaN or infinite")
+    if noise_var is not None and not (finite_real(noise_var) and noise_var > 0):
+        raise ValueError(f"noise_var must be positive and finite when given, got {noise_var!r}")
+    return Y
+
+
 @dataclass(frozen=True)
 class CalibrationTask:
     """A regression dataset with its basis and (optionally known) noise variance.
@@ -104,14 +121,7 @@ class CalibrationTask:
 
     def __post_init__(self):
         X = as_points(self.X, self.basis.box.dimension)
-        Y = np.asarray(self.Y, dtype=float).ravel()
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and Y have different numbers of samples")
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("Y must be finite; an output is NaN or infinite")
-        nv = self.noise_var
-        if nv is not None and not (finite_real(nv) and nv > 0):
-            raise ValueError(f"noise_var must be positive and finite when given, got {nv!r}")
+        Y = _outputs(self.Y, X.shape[0], self.noise_var)
         X.flags.writeable = False
         Y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -129,20 +139,69 @@ def check_sample_count(n_samples: int, n_terms: int):
             f"under-determined fit: {n_samples} samples for {n_terms} coefficients")
 
 
-def likelihood_with_report(task: CalibrationTask,
-                           cond_ceiling: float = DEFAULT_COND_CEILING,
-                           jitter: float = 0.0) -> tuple[GaussianDist, dict]:
-    """Gaussian likelihood over coefficients plus fit diagnostics.
+@dataclass(frozen=True)
+class DesignFactors:
+    """A basis's design matrix at fixed points, factorized: a fit less its outputs.
 
-    Mean solves the least-squares problem via QR of the design matrix;
-    covariance is noise_var * (A^T A)^{-1} assembled from the R factor, and
-    the condition number of A^T A comes from R's singular values.
+    A is the design matrix and Q R the QR factors of the system solved (A,
+    with sqrt(jitter) * I appended under a ridge); unit_cov is R^-1 R^-T, the
+    coefficient covariance per unit of noise variance.  `fit` turns outputs
+    at the points into a likelihood, so one factorization serves any number
+    of output vectors.
+    """
+
+    A: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    unit_cov: np.ndarray
+    condition_number: float
+    jitter: float
+
+    def __post_init__(self):
+        for array in (self.A, self.Q, self.R, self.unit_cov):
+            array.flags.writeable = False
+
+    def fit(self, Y, noise_var: float | None = None) -> tuple[GaussianDist, dict]:
+        """Gaussian likelihood of outputs Y at the factorized points, plus fit diagnostics.
+
+        Mean solves the least-squares problem through Q and R; covariance is
+        noise_var * unit_cov, with noise_var estimated from the residual mean
+        square (floored at NOISE_VAR_FLOOR) when None.  Y and noise_var are
+        checked as `CalibrationTask` checks them.
+        """
+        n_samples, p = self.A.shape
+        Y = _outputs(Y, n_samples, noise_var)
+        targets = Y if self.jitter == 0.0 else np.concatenate([Y, np.zeros(p)])
+        mean = _solve_factor(self.R, self.Q.T @ targets)
+        resid = Y - self.A @ mean
+        if noise_var is None:
+            noise_var = max(float(np.mean(resid**2)), NOISE_VAR_FLOOR)
+        else:
+            noise_var = float(noise_var)
+
+        cov = noise_var * self.unit_cov
+        dist = GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
+        report = {
+            "n_samples": n_samples,
+            "n_coefficients": p,
+            "condition_number": self.condition_number,
+            "residual_rmse": float(np.sqrt(np.mean(resid**2))),
+            "noise_var": noise_var,
+        }
+        return dist, report
+
+
+def factorize(basis: BasisSpec, X, cond_ceiling: float = DEFAULT_COND_CEILING,
+              jitter: float = 0.0) -> DesignFactors:
+    """QR-factorize the design of basis at points X (read by `as_points`).
+
+    The condition number of A^T A comes from R's singular values.
     Ill-conditioning raises CalibrationError naming that condition number
     unless an explicit ridge `jitter` > 0 is opted into.  The ridge is the
-    same QR solve with sqrt(jitter) * I appended to the design and zeros to
-    the targets, so R^T R = A^T A + jitter * I, whose condition number the
-    report then holds.  A ceiling or jitter that would switch the conditioning
-    guard off raises ValueError.
+    same QR solve with sqrt(jitter) * I appended to the design (and zeros to
+    the outputs in `DesignFactors.fit`), so R^T R = A^T A + jitter * I, whose
+    condition number is then kept.  A ceiling or jitter that would switch the
+    conditioning guard off raises ValueError.
     """
     if not (finite_real(cond_ceiling) and cond_ceiling > 0.0
             and finite_real(jitter) and jitter >= 0.0):
@@ -150,13 +209,13 @@ def likelihood_with_report(task: CalibrationTask,
                          f"got {cond_ceiling!r} and {jitter!r}")
     # numpy would hold an int past the int64 range as an object array.
     cond_ceiling, jitter = float(cond_ceiling), float(jitter)
-    p = task.basis.n_terms
-    check_sample_count(task.n_samples, p)
-    A = vandermonde(task.basis, task.X)
-    system, targets = A, task.Y
+    p = basis.n_terms
+    X = as_points(X, basis.box.dimension)
+    check_sample_count(X.shape[0], p)
+    A = vandermonde(basis, X)
+    system = A
     if jitter > 0.0:
         system = np.vstack([A, np.sqrt(jitter) * np.eye(p)])
-        targets = np.concatenate([task.Y, np.zeros(p)])
     Q, R = np.linalg.qr(system, mode="reduced")
     # system = QR with orthonormal Q, so the p x p factor R has its singular values.
     singvals = np.linalg.svd(R, compute_uv=False)
@@ -168,25 +227,24 @@ def likelihood_with_report(task: CalibrationTask,
             f"normal equations condition number {cond_normal:.3e} exceeds "
             f"ceiling {cond_ceiling:.1e}"
         )
-
-    mean = _solve_factor(R, Q.T @ targets)
     Rinv = _solve_factor(R, np.eye(p))
-    resid = task.Y - A @ mean
-    if task.noise_var is None:
-        noise_var = max(float(np.mean(resid**2)), NOISE_VAR_FLOOR)
-    else:
-        noise_var = float(task.noise_var)
+    return DesignFactors(A, Q, R, Rinv @ Rinv.T, float(cond_normal), jitter)
 
-    cov = noise_var * (Rinv @ Rinv.T)
-    dist = GaussianDist(mean=mean, cov=0.5 * (cov + cov.T))
-    report = {
-        "n_samples": task.n_samples,
-        "n_coefficients": p,
-        "condition_number": float(cond_normal),
-        "residual_rmse": float(np.sqrt(np.mean(resid**2))),
-        "noise_var": noise_var,
-    }
-    return dist, report
+
+def likelihood_with_report(task: CalibrationTask,
+                           cond_ceiling: float = DEFAULT_COND_CEILING,
+                           jitter: float = 0.0) -> tuple[GaussianDist, dict]:
+    """Gaussian likelihood over coefficients plus fit diagnostics.
+
+    `factorize` the task's design, then `DesignFactors.fit` its outputs: the
+    mean solves the least-squares problem via QR of the design matrix and the
+    covariance is noise_var * (A^T A)^{-1} assembled from the R factor.  The
+    report holds the sample and coefficient counts, the condition number of
+    A^T A (of the ridged system under jitter), the residual RMSE and the
+    noise variance used.
+    """
+    factors = factorize(task.basis, task.X, cond_ceiling, jitter)
+    return factors.fit(task.Y, task.noise_var)
 
 
 def likelihood(task: CalibrationTask) -> GaussianDist:

@@ -9,6 +9,13 @@ processes the caller opens, and `aggregate_records` summarizes them.
 `ExperimentConfig` checks every study setting once, through the shared
 checks in `errors`; a failure inside a trial stays in that trial's records.
 
+A model-param shift changes only the target model, so each process keeps
+what a trial shares across the shifts of one sweep, bounded by
+MEMO_MAX_BYTES: the draws of `trial_draws` and, per degree, the basis, the
+source likelihood, the target design's factors and the whitened frame's SVD.
+Only the target outputs and what follows from them are redone per shift.
+The memo stores only pure results, so it changes no record.
+
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
 configuration and any subset of trials can be recomputed independently.
@@ -17,6 +24,7 @@ configuration and any subset of trials can be recomputed independently.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -24,7 +32,7 @@ import numpy as np
 
 from .basis import BasisSpec, DomainBox, n_pce
 from .errors import CalibrationError, NumericError, finite_real, integer
-from .gaussian import CalibrationTask, likelihood
+from .gaussian import CalibrationTask, DesignFactors, GaussianDist, factorize, likelihood
 from .models import GenerativeModel
 from .predict import Design, PfpPrediction, lpfp, pushforward, rmse
 from .transfer import OBJECTIVES, TransferProblem, optimize_beta, tempered_posterior
@@ -241,11 +249,31 @@ class TrialData:
     y_val: np.ndarray
 
 
-def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
-    """Sample and evaluate all datasets for one trial.
+@dataclass(frozen=True)
+class TrialDraws:
+    """The draws of one trial that no model-param shift changes.
 
-    Training outputs carry injected Gaussian noise of sd cfg.noise_sd;
-    validation outputs are noise-free truth.  A non-finite output raises NumericError.
+    Every point set, the source outputs with their injected noise, and the
+    target's injected noise, already scaled by noise_sd (None without noise).
+    """
+
+    X_source: np.ndarray
+    y_source: np.ndarray
+    X_target: np.ndarray
+    X_val: np.ndarray
+    target_noise: np.ndarray | None
+
+    def __post_init__(self):  # the shift memo shares them across shifts
+        for array in vars(self).values():
+            if array is not None:
+                array.flags.writeable = False
+
+
+def trial_draws(cfg: ExperimentConfig, trial: int) -> TrialDraws:
+    """Sample every point set of one trial and evaluate the source model on its points.
+
+    A non-finite source output raises NumericError; an overflowing injected
+    noise is left to `target_data`, which checks both training outputs.
     """
     X_s = sample(cfg.source_box, cfg.n_source, cfg.sampler,
                  derive_seed(cfg.seed, trial, "source-points"))
@@ -253,18 +281,113 @@ def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
                  derive_seed(cfg.seed, trial, "target-points"))
     X_v = sample(cfg.target_box, cfg.n_val, cfg.sampler,
                  derive_seed(cfg.seed, trial, "validation-points"))
-    target_model = cfg.target_model()
     y_s = cfg.model.evaluate(X_s)
-    y_t = target_model.evaluate(X_t)
-    y_v = target_model.evaluate(X_v)
+    target_noise = None
     if cfg.noise_sd > 0:
         rng_s = np.random.default_rng(derive_seed(cfg.seed, trial, "source-noise"))
         rng_t = np.random.default_rng(derive_seed(cfg.seed, trial, "target-noise"))
         y_s = y_s + cfg.noise_sd * rng_s.standard_normal(cfg.n_source)
-        y_t = y_t + cfg.noise_sd * rng_t.standard_normal(cfg.n_target)
-        if not (np.all(np.isfinite(y_s)) and np.all(np.isfinite(y_t))):
+        target_noise = cfg.noise_sd * rng_t.standard_normal(cfg.n_target)
+    return TrialDraws(X_s, y_s, X_t, X_v, target_noise)
+
+
+def target_data(cfg: ExperimentConfig, draws: TrialDraws) -> TrialData:
+    """The datasets of one trial: its draws plus the outputs of cfg's target model.
+
+    Target outputs carry the drawn noise; validation outputs are noise-free
+    truth.  A non-finite output raises NumericError.
+    """
+    target_model = cfg.target_model()
+    y_t = target_model.evaluate(draws.X_target)
+    y_v = target_model.evaluate(draws.X_val)
+    if draws.target_noise is not None:
+        y_t = y_t + draws.target_noise
+        if not (np.all(np.isfinite(draws.y_source)) and np.all(np.isfinite(y_t))):
             raise NumericError("the injected noise overflowed a training output")
-    return TrialData(X_s, y_s, X_t, y_t, X_v, y_v)
+    return TrialData(draws.X_source, draws.y_source, draws.X_target, y_t, draws.X_val, y_v)
+
+
+def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
+    """Sample and evaluate all datasets for one trial: `target_data` of its `trial_draws`.
+
+    Training outputs carry injected Gaussian noise of sd cfg.noise_sd;
+    validation outputs are noise-free truth.  A non-finite output raises NumericError.
+    """
+    return target_data(cfg, trial_draws(cfg, trial))
+
+
+# The most bytes of arrays (4 MiB) the shift memo holds; past it, trials run unstored.
+MEMO_MAX_BYTES = 2**22
+
+
+def _sweep_key(cfg: ExperimentConfig) -> tuple:
+    """Every field of cfg but shift, by value.
+
+    Boxes compare by their bounds; the model by its function, name,
+    dimension, parameter values and domain, copied so that a parameters dict
+    changed in place later compares unequal.
+    """
+    def value(v):
+        if isinstance(v, DomainBox):
+            return v.lower.tolist(), v.upper.tolist()
+        if isinstance(v, GenerativeModel):
+            params = {k: np.asarray(p).tolist() for k, p in v.parameters.items()}
+            return v.fn, v.name, v.dimension, params, value(v.domain)
+        return v
+
+    return tuple(value(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "shift")
+
+
+def _nbytes(value, seen: set) -> int:
+    """Bytes of the distinct arrays reachable from value through attributes and tuples."""
+    if isinstance(value, np.ndarray):
+        new = id(value) not in seen
+        seen.add(id(value))
+        return value.nbytes if new else 0
+    parts = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()
+    return sum(_nbytes(part, seen) for part in parts)
+
+
+class _SweepMemo:
+    """What the trials of one model-param sweep share across its shifts, in this process.
+
+    Entries are keyed by (trial, ...).  A value is kept only once computed,
+    so a failure is recomputed at every shift, and only while the arrays
+    kept stay under MEMO_MAX_BYTES.
+    """
+
+    def __init__(self, key):
+        self.key, self.entries, self.nbytes = key, {}, 0
+        self.lock = threading.Lock()  # trials may run in threads of one process
+
+    def keep(self, key, value):
+        if key in self.entries:
+            return
+        size = _nbytes(value, set())
+        with self.lock:
+            if key not in self.entries and self.nbytes + size <= MEMO_MAX_BYTES:
+                self.entries[key] = value
+                self.nbytes += size
+
+    def recall(self, key, compute):
+        """The value kept under key, else compute()'s, which is kept if it fits."""
+        value = self.entries.get(key)
+        if value is None:
+            value = compute()
+            self.keep(key, value)
+        return value
+
+
+_memo = _SweepMemo(None)
+
+
+def _sweep_memo(cfg: ExperimentConfig) -> _SweepMemo:
+    """The memo of cfg's sweep; a config of another sweep replaces the last one."""
+    global _memo
+    key, memo = _sweep_key(cfg), _memo  # one read: another thread may replace it
+    if key != memo.key:
+        memo = _memo = _SweepMemo(key)
+    return memo
 
 
 def _failed_record(trial: int, shift: float, reason: str) -> TrialRecord:
@@ -288,15 +411,40 @@ def mode_predictions(prob: TransferProblem, beta_star: float, design: Design,
     return preds
 
 
-def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int,
-                   points: np.ndarray) -> tuple[float, dict[str, PfpPrediction]]:
-    """Fit both tasks at one degree, optimize beta, and return beta* and `mode_predictions`."""
+def _shared_fits(cfg: ExperimentConfig, data: TrialData,
+                 degree: int) -> tuple[BasisSpec, GaussianDist, DesignFactors]:
+    """A model-param trial's basis, source likelihood and target design factors at one degree."""
     spec = BasisSpec.total_order(cfg.reference_box(), degree)
+    source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, cfg.noise_var()))
+    return spec, source_lik, factorize(spec, data.X_target)
+
+
+def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int, points: np.ndarray,
+                   memo: _SweepMemo | None = None,
+                   trial: int = 0) -> tuple[float, dict[str, PfpPrediction]]:
+    """Fit both tasks at one degree, optimize beta, and return beta* and `mode_predictions`.
+
+    With the memo of a model-param sweep, the trial's `_shared_fits` come
+    from it, and so does the problem solved at an earlier shift, whose frame
+    SVD `with_target` keeps under a fixed noise variance; only the target
+    outputs are fitted anew.
+    """
     noise_var = cfg.noise_var()
-    source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, noise_var))
-    target_lik = likelihood(CalibrationTask(spec, data.X_target, data.y_target, noise_var))
-    prob = TransferProblem(source_lik, target_lik, cfg.objective)
+    if memo is None:
+        spec = BasisSpec.total_order(cfg.reference_box(), degree)
+        source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, noise_var))
+        target_lik = likelihood(CalibrationTask(spec, data.X_target, data.y_target, noise_var))
+        prob = TransferProblem(source_lik, target_lik, cfg.objective)
+    else:
+        spec, source_lik, design = memo.recall((trial, degree),
+                                               partial(_shared_fits, cfg, data, degree))
+        target_lik = design.fit(data.y_target, noise_var)[0]
+        solved = memo.entries.get((trial, degree, "problem"))
+        prob = (TransferProblem(source_lik, target_lik, cfg.objective) if solved is None
+                else solved.with_target(target_lik))
     beta_star = optimize_beta(prob).beta_star
+    if memo is not None and noise_var is not None:  # an estimated one moves the covariance
+        memo.keep((trial, degree, "problem"), prob)
     return beta_star, mode_predictions(prob, beta_star, Design(spec, points),
                                        noise_var=cfg.lpfp_noise_var)
 
@@ -305,16 +453,23 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
     """One ensemble realization for every configured degree.
 
     Calibration and numeric failures, a non-finite model output among them,
-    become failed records rather than aborting the sweep.
+    become failed records rather than aborting the sweep.  A model-param
+    sweep reads and fills the shift memo; its records are those of a run
+    without it.
     """
+    memo = _sweep_memo(cfg) if cfg.shift_mode == "model-param" else None
     try:
-        data = trial_data(cfg, trial)
+        if memo is None:
+            data = trial_data(cfg, trial)
+        else:
+            data = target_data(cfg, memo.recall((trial, "draws"),
+                                                partial(trial_draws, cfg, trial)))
     except NumericError as exc:
         return {d: _failed_record(trial, cfg.shift, str(exc)) for d in cfg.degrees}
     records: dict[int, TrialRecord] = {}
     for degree in cfg.degrees:
         try:
-            beta_star, preds = _predict_modes(cfg, data, degree, data.X_val)
+            beta_star, preds = _predict_modes(cfg, data, degree, data.X_val, memo, trial)
             scores = {}
             for tag, pred in preds.items():
                 scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)

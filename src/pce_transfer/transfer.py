@@ -18,15 +18,18 @@ is better:
 
 Each `TransferProblem` caches one `WhitenedFrame`, a single SVD that
 diagonalizes both precisions.  The beta scan, `objective_value`, the tempered
-posteriors and `fuse` (the frame at beta = 1) all read it.  The optimizer
-scans a dense grid, DS as log-DS so that it cannot underflow, and refines with
-golden-section search; `objective_value` reproduces a scan point bit for bit.
+posteriors and `fuse` (the frame at beta = 1) all read it, and
+`TransferProblem.with_target` keeps its SVD for a new target mean under the
+same covariances.  The optimizer scans a dense grid, DS as log-DS so that
+it cannot underflow, and refines with golden-section search;
+`objective_value` reproduces a scan point bit for bit.
 The scan runs in blocks of fixed size in place, so its memory grows with the
 number of scan points, not with scan points times coefficients.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -72,12 +75,22 @@ class WhitenedFrame:
         if not np.all((w > 0) & np.isfinite(w)):
             raise NumericError("relative precision spectrum is not finite and positive")
         self.F = L_t @ Ut.T
+        self.L_t, self.Ut = L_t, Ut
         # Singular-vector signs are arbitrary and drop out: F and the whitened
         # means flip sign together, and the objectives read squares of them.
-        self.m_t = Ut @ _solve_factor(L_t, target.mean)
-        self.m_s = Ut @ _solve_factor(L_t, source.mean)
+        self.m_t = self._whiten(target.mean)
+        self.m_s = self._whiten(source.mean)
         self.logdet_t = 2.0 * np.sum(np.log(np.diag(L_t)))
         self.log2pi = np.log(2.0 * np.pi)
+
+    def _whiten(self, mean: np.ndarray) -> np.ndarray:
+        return self.Ut @ _solve_factor(self.L_t, mean)
+
+    def with_target_mean(self, mean: np.ndarray) -> "WhitenedFrame":
+        """The frame of a target with the same covariance and this mean: the SVD is kept."""
+        frame = copy.copy(self)
+        frame.m_t = self._whiten(mean)
+        return frame
 
     def whitened(self, beta: float) -> tuple[np.ndarray, np.ndarray]:
         """z and v with posterior(beta) = N(F z, F diag(v) F^T): through A, mean (A F) z."""
@@ -174,6 +187,17 @@ class TransferProblem:
     def frame(self) -> WhitenedFrame:
         """The whitened frame of (source, target), factorized on first use."""
         return WhitenedFrame(self.source, self.target)
+
+    def with_target(self, target: GaussianDist) -> "TransferProblem":
+        """This problem with another target.
+
+        A target of the same covariance keeps the factorized frame's SVD, so
+        only its whitened mean is formed anew; any other gets its own frame.
+        """
+        prob = TransferProblem(self.source, target, self.objective)
+        if "frame" in self.__dict__ and np.array_equal(target.cov, self.target.cov):
+            object.__setattr__(prob, "frame", self.frame.with_target_mean(target.mean))
+        return prob
 
 
 @dataclass(frozen=True)

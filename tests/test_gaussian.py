@@ -11,6 +11,7 @@ from oracles import exact_ridge_mean, log_pdf
 from pce_transfer.gaussian import (
     CalibrationTask,
     GaussianDist,
+    factorize,
     likelihood,
     likelihood_with_report,
 )
@@ -282,6 +283,38 @@ class TestLikelihood:
         at_200 = mean_abs_offdiag(200)
         assert at_200 < 0.2
         assert mean_abs_offdiag(2000) < at_200
+
+
+class TestDesignFactors:
+    """`factorize` once, then `DesignFactors.fit` per output vector, is `likelihood_with_report`."""
+
+    @pytest.mark.parametrize("noise_var, jitter", [(0.01, 0.0), (None, 0.0), (0.01, 1e-6)])
+    def test_one_factorization_fits_each_output_like_its_own_task(self, noise_var, jitter):
+        rng = np.random.default_rng(31)
+        spec = BasisSpec.total_order(DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 3)
+        X = rng.uniform(-1.0, 1.0, size=(11, 2))
+        factors = factorize(spec, X, jitter=jitter)
+        for _ in range(3):
+            Y = np.sin(X[:, 0] - rng.uniform()) + 0.01 * rng.standard_normal(11)
+            dist, report = factors.fit(Y, noise_var)
+            task_dist, task_report = likelihood_with_report(
+                CalibrationTask(spec, X, Y, noise_var), jitter=jitter)
+            assert dist.mean.tobytes() == task_dist.mean.tobytes()
+            assert dist.cov.tobytes() == task_dist.cov.tobytes()
+            assert report == task_report
+
+    @pytest.mark.parametrize("Y, noise_var, match", [
+        (np.zeros(4), None, "different numbers of samples"),
+        (np.array([0.0, np.nan, 0.0, 0.0, 0.0]), None, "Y must be finite"),
+        (np.zeros(5), 0.0, "noise_var must be positive"),
+    ])
+    def test_fit_checks_its_outputs_as_a_task_does(self, Y, noise_var, match):
+        spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
+        factors = factorize(spec, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match=match):
+            factors.fit(Y, noise_var)
+        with pytest.raises(ValueError, match=match):
+            CalibrationTask(spec, np.linspace(0.0, 1.0, 5), Y, noise_var)
 
 
 class TestFuse:

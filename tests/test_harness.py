@@ -476,3 +476,184 @@ class TestBands:
         cfg = dataclasses.replace(ishigami_scenario()[0], n_trials=1)
         with pytest.raises(ValueError):
             pfp_bands(cfg, 0.0, 3)
+
+
+def small_ishigami_cfg(**overrides):
+    cfg, _ = ishigami_scenario()
+    base = dict(n_trials=2, n_val=40)
+    base.update(overrides)
+    return dataclasses.replace(cfg, **base)
+
+
+def spiky_ishigami_fn(pts, theta=0.0):
+    """The Ishigami response, NaN everywhere at theta = 0.5 and finite elsewhere."""
+    out = np.sin(pts[:, 0] - theta) + pts[:, 1] ** 4 * np.sin(pts[:, 0])
+    return out + (np.nan if theta == 0.5 else 0.0)
+
+
+def record_bits(records):
+    """Each record's columns with every float as its exact hex text, NaN and -0.0 included."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in r.as_csv_row())
+            for r in records]
+
+
+def memo_array_bytes(memo) -> int:
+    """The distinct arrays reachable from the memo's entries, summed independently of it."""
+    seen, total, stack = set(), 0, list(memo.entries.values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            if id(value) not in seen:
+                seen.add(id(value))
+                total += value.nbytes
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__"):
+            stack.extend(vars(value).values())
+    return total
+
+
+class TestShiftMemo:
+    """A model-param sweep reuses each trial's shift-invariant work; records stay bit for bit."""
+
+    SHIFTS = (0.0, 0.5, 1.0)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        from pce_transfer import harness
+
+        monkeypatch.setattr(harness, "_memo", harness._SweepMemo(None))
+        return harness
+
+    @staticmethod
+    def bits(by_degree):
+        return {d: record_bits(records) for d, records in by_degree.items()}
+
+    @classmethod
+    def unmemoized(cls, harness, cfg, shift, trials=None):
+        """The records of run_shift, or of the given trials, on the path without a memo."""
+        real = harness._sweep_memo
+        harness._sweep_memo = lambda cfg: None
+        try:
+            if trials is None:
+                return cls.bits(run_shift(cfg, shift))
+            return [record_bits(harness.run_trial(cfg.with_shift(shift), t).values())
+                    for t in trials]
+        finally:
+            harness._sweep_memo = real
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"degrees": (2, 3)},
+        {"likelihood_noise_sd": None, "noise_sd": 0.0, "degrees": (2, 3)},
+    ], ids=["known-noise", "two-degrees", "estimated-noise"])
+    def test_every_shift_order_gives_the_unmemoized_records(self, empty_memo, overrides):
+        cfg = small_ishigami_cfg(**overrides)
+        other = dataclasses.replace(cfg, seed=7)
+        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        assert all(r[-1] == "ok" for recs in expected[0.5].values() for r in recs)
+        orders = [self.SHIFTS, self.SHIFTS[::-1], (0.5, 0.0, 1.0, 0.0, 0.5)]
+        for order in orders:
+            empty_memo._memo = empty_memo._SweepMemo(None)
+            for shift in order:
+                assert self.bits(run_shift(cfg, shift)) == expected[shift], (order, shift)
+        # Another sweep's trials in between empty the memo, and refill it.
+        for shift in self.SHIFTS:
+            run_shift(other, shift)
+            run_shift(small_cubic_cfg(n_trials=1), shift)
+            assert self.bits(run_shift(cfg, shift)) == expected[shift]
+
+    def test_memo_hits_do_not_refit_the_shared_work(self, empty_memo, monkeypatch):
+        cfg = small_ishigami_cfg(n_trials=1)
+        run_shift(cfg, 0.0)
+        calls = []
+        for name in ("trial_draws", "likelihood", "factorize"):
+            real = getattr(empty_memo, name)
+            monkeypatch.setattr(empty_memo, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        run_shift(cfg, 0.5)
+        assert calls == []
+        prob = empty_memo._memo.entries[(0, 3, "problem")]
+        assert "frame" in vars(prob)
+
+    def test_non_finite_target_at_one_shift_fails_that_shift_only(self, empty_memo):
+        model = GenerativeModel("spiky", 2, spiky_ishigami_fn, {"theta": 0.0})
+        cfg = small_ishigami_cfg(model=model)
+        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        for shift in self.SHIFTS + self.SHIFTS[::-1]:
+            got = self.bits(run_shift(cfg, shift))
+            assert got == expected[shift]
+            statuses = {r[-1] for r in got[3]}
+            assert statuses == ({"failed: model spiky produced non-finite output"}
+                                if shift == 0.5 else {"ok"})
+
+    def test_ill_conditioned_target_design_fails_every_shift_alike(self, empty_memo):
+        tiny = DomainBox(np.array([0.0, 0.0]), np.array([1e-3, 1e-3]))
+        cfg = small_ishigami_cfg(target_box=tiny)
+        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        for shift in self.SHIFTS:
+            got = self.bits(run_shift(cfg, shift))
+            assert got == expected[shift] and got[3][0][-1] == expected[0.0][3][0][-1]
+            assert all(r[-1].startswith("failed: normal equations condition number")
+                       for r in got[3])
+        assert set(empty_memo._memo.entries) == {(0, "draws"), (1, "draws")}
+
+    def test_a_two_worker_pool_gives_the_serial_records(self, empty_memo):
+        cfg = small_ishigami_cfg(n_trials=4, degrees=(2, 3))
+        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+            for shift in self.SHIFTS + self.SHIFTS:
+                assert self.bits(run_shift(cfg, shift, pool=pool)) == expected[shift]
+
+    def test_threads_of_two_sweeps_give_the_unmemoized_records(self, empty_memo):
+        import sys
+
+        sweeps = [small_ishigami_cfg(n_trials=4), small_ishigami_cfg(n_trials=4, seed=7)]
+        expected = [[self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS] for cfg in sweeps]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [[pool.submit(run_shift, cfg, s, pool=None) for s in self.SHIFTS * 2]
+                           for cfg in sweeps]
+                got = [[self.bits(f.result(timeout=120)) for f in row] for row in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [row * 2 for row in expected]
+        memo = empty_memo._memo
+        assert memo.nbytes == sum(empty_memo._nbytes(v, set()) for v in memo.entries.values())
+
+    def test_holds_one_sweep_at_a_time(self, empty_memo):
+        first = small_ishigami_cfg(n_trials=3)
+        run_shift(first, 0.0)
+        assert {key[0] for key in empty_memo._memo.entries} == {0, 1, 2}
+        for second in (dataclasses.replace(first, seed=3),
+                       dataclasses.replace(first, model=first.model.with_parameters(theta=0.1))):
+            empty_memo.run_trial(second.with_shift(0.5), 1)
+            assert empty_memo._memo.key == empty_memo._sweep_key(second.with_shift(0.0))
+            assert {key[0] for key in empty_memo._memo.entries} == {1}
+
+    def test_stays_under_its_cap(self, empty_memo):
+        cfg = small_ishigami_cfg(n_trials=200, n_val=1000)
+        run_shift(cfg, 0.0)
+        memo = empty_memo._memo
+        stored = {key[0] for key in memo.entries if key[1] == "draws"}
+        assert 0 < memo_array_bytes(memo) <= memo.nbytes <= empty_memo.MEMO_MAX_BYTES
+        assert 50 < len(stored) < 200  # the cap was reached
+        trials = (0, max(stored) + 1, 199)
+        records = run_shift(cfg, 1.0)[3]
+        assert ([record_bits([records[t]]) for t in trials]
+                == self.unmemoized(empty_memo, cfg, 1.0, trials))
+
+    def test_target_box_sweep_stores_nothing(self, empty_memo):
+        for shift in (0.0, 0.5):
+            run_shift(small_cubic_cfg(n_trials=2), shift)
+        assert empty_memo._memo.entries == {} and empty_memo._memo.key is None
+
+    def test_parameters_changed_in_place_give_fresh_records(self, empty_memo):
+        cfg = small_ishigami_cfg(n_trials=1)
+        before = self.bits(run_shift(cfg, 0.5))
+        cfg.model.parameters["theta"] = 0.25
+        after = self.bits(run_shift(cfg, 0.5))
+        assert after != before
+        assert after == self.unmemoized(empty_memo, cfg, 0.5)

@@ -35,6 +35,7 @@ from pce_transfer.transfer import (
     OBJECTIVES,
     SCAN_BLOCK_ELEMENTS,
     TransferProblem,
+    WhitenedFrame,
     fuse,
     objective_value,
     optimize_beta,
@@ -189,6 +190,33 @@ class TestWhitenedFrame:
         prob = rand_problem(np.random.default_rng(20), 3, "EDF")
         with pytest.raises(NumericError):
             optimize_beta(prob)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_new_target_mean_keeps_the_svd_and_matches_a_fresh_frame(self, objective):
+        rng = np.random.default_rng(22)
+        prob = rand_problem(rng, 6, objective)
+        optimize_beta(prob)
+        moved = GaussianDist(prob.target.mean + rng.normal(size=6), prob.target.cov.copy())
+        kept = prob.with_target(moved)
+        assert kept.target is moved and kept.source is prob.source
+        assert kept.frame.F is prob.frame.F and kept.frame.w is prob.frame.w
+        fresh = TransferProblem(prob.source, moved, objective)
+        for name in ("w", "F", "m_t", "m_s", "logdet_t"):
+            assert np.array_equal(getattr(kept.frame, name), getattr(fresh.frame, name)), name
+        a, b = optimize_beta(kept), optimize_beta(fresh)
+        assert a.beta_star == b.beta_star and a.values.tobytes() == b.values.tobytes()
+        assert prob.frame.m_t.tobytes() != kept.frame.m_t.tobytes()
+
+    def test_new_target_covariance_gets_its_own_frame(self):
+        rng = np.random.default_rng(23)
+        prob = rand_problem(rng, 4, "EDF")
+        prob.frame
+        wider = GaussianDist(prob.target.mean, 2.0 * prob.target.cov)
+        moved = prob.with_target(wider)
+        assert moved.frame is not prob.frame and moved.frame.F is not prob.frame.F
+        assert np.array_equal(moved.frame.w, WhitenedFrame(prob.source, wider).w)
+        unsolved = rand_problem(rng, 4, "EDF").with_target(wider)
+        assert "frame" not in vars(unsolved)
 
     def test_frame_is_factorized_once_per_problem(self):
         prob = rand_problem(np.random.default_rng(21), 4, "EDF")
