@@ -93,6 +93,11 @@ class DomainBox:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
+    def __eq__(self, other):  # by value: a tuple of bound arrays has no truth value
+        if not isinstance(other, DomainBox):
+            return NotImplemented
+        return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
+
     @property
     def dimension(self) -> int:
         return self.lower.size

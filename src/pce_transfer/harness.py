@@ -9,12 +9,14 @@ processes the caller opens, and `aggregate_records` summarizes them.
 `ExperimentConfig` checks every study setting once, through the shared
 checks in `errors`; a failure inside a trial stays in that trial's records.
 
-A model-param shift changes only the target model, so each process keeps
-what a trial shares across the shifts of one sweep, bounded by
-MEMO_MAX_BYTES: the draws of `trial_draws` and, per degree, the basis, the
-source likelihood, the target design's factors and the whitened frame's SVD.
-Only the target outputs and what follows from them are redone per shift.
-The memo stores only pure results, so it changes no record.
+Every trial, band export included, runs one pipeline: `trial_data` reads
+the draws of `trial_draws` through the sweep's memo, and each degree recalls
+the basis, the source likelihood and the target design's factors from it,
+fits the target outputs and reuses or builds the transfer problem.  A
+model-param shift changes only the target model, so each process keeps that
+shared work across the shifts of one sweep, bounded by MEMO_MAX_BYTES, with
+the whitened frame's SVD; a target-box sweep's memo keeps nothing.  The
+memo stores only pure results, so it changes no record.
 
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
@@ -273,7 +275,7 @@ def trial_draws(cfg: ExperimentConfig, trial: int) -> TrialDraws:
     """Sample every point set of one trial and evaluate the source model on its points.
 
     A non-finite source output raises NumericError; an overflowing injected
-    noise is left to `target_data`, which checks both training outputs.
+    noise is left to `trial_data`, which checks both training outputs.
     """
     X_s = sample(cfg.source_box, cfg.n_source, cfg.sampler,
                  derive_seed(cfg.seed, trial, "source-points"))
@@ -291,12 +293,14 @@ def trial_draws(cfg: ExperimentConfig, trial: int) -> TrialDraws:
     return TrialDraws(X_s, y_s, X_t, X_v, target_noise)
 
 
-def target_data(cfg: ExperimentConfig, draws: TrialDraws) -> TrialData:
-    """The datasets of one trial: its draws plus the outputs of cfg's target model.
+def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
+    """One trial's datasets: its `trial_draws`, read through the sweep's memo, and target outputs.
 
-    Target outputs carry the drawn noise; validation outputs are noise-free
-    truth.  A non-finite output raises NumericError.
+    cfg's target model gives the outputs.  Target outputs carry the drawn
+    noise of sd cfg.noise_sd; validation outputs are noise-free truth.  A
+    non-finite output raises NumericError.
     """
+    draws = _sweep_memo(cfg).recall((trial, "draws"), partial(trial_draws, cfg, trial))
     target_model = cfg.target_model()
     y_t = target_model.evaluate(draws.X_target)
     y_v = target_model.evaluate(draws.X_val)
@@ -305,15 +309,6 @@ def target_data(cfg: ExperimentConfig, draws: TrialDraws) -> TrialData:
         if not (np.all(np.isfinite(draws.y_source)) and np.all(np.isfinite(y_t))):
             raise NumericError("the injected noise overflowed a training output")
     return TrialData(draws.X_source, draws.y_source, draws.X_target, y_t, draws.X_val, y_v)
-
-
-def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
-    """Sample and evaluate all datasets for one trial: `target_data` of its `trial_draws`.
-
-    Training outputs carry injected Gaussian noise of sd cfg.noise_sd;
-    validation outputs are noise-free truth.  A non-finite output raises NumericError.
-    """
-    return target_data(cfg, trial_draws(cfg, trial))
 
 
 # The most bytes of arrays (4 MiB) the shift memo holds; past it, trials run unstored.
@@ -328,11 +323,9 @@ def _sweep_key(cfg: ExperimentConfig) -> tuple:
     changed in place later compares unequal.
     """
     def value(v):
-        if isinstance(v, DomainBox):
-            return v.lower.tolist(), v.upper.tolist()
         if isinstance(v, GenerativeModel):
             params = {k: np.asarray(p).tolist() for k, p in v.parameters.items()}
-            return v.fn, v.name, v.dimension, params, value(v.domain)
+            return v.fn, v.name, v.dimension, params, v.domain
         return v
 
     return tuple(value(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "shift")
@@ -353,7 +346,8 @@ class _SweepMemo:
 
     Entries are keyed by (trial, ...).  A value is kept only once computed,
     so a failure is recomputed at every shift, and only while the arrays
-    kept stay under MEMO_MAX_BYTES.
+    kept stay under MEMO_MAX_BYTES.  The memo of no sweep (key None) keeps
+    nothing.
     """
 
     def __init__(self, key):
@@ -361,7 +355,7 @@ class _SweepMemo:
         self.lock = threading.Lock()  # trials may run in threads of one process
 
     def keep(self, key, value):
-        if key in self.entries:
+        if self.key is None or key in self.entries:
             return
         size = _nbytes(value, set())
         with self.lock:
@@ -378,12 +372,17 @@ class _SweepMemo:
         return value
 
 
-_memo = _SweepMemo(None)
+_memo = _NO_MEMO = _SweepMemo(None)
 
 
 def _sweep_memo(cfg: ExperimentConfig) -> _SweepMemo:
-    """The memo of cfg's sweep; a config of another sweep replaces the last one."""
+    """The memo of cfg's sweep; a config of another sweep replaces the last one.
+
+    A target-box shift moves every draw, so such a sweep gets the memo that keeps nothing.
+    """
     global _memo
+    if cfg.shift_mode == "target-box":
+        return _NO_MEMO
     key, memo = _sweep_key(cfg), _memo  # one read: another thread may replace it
     if key != memo.key:
         memo = _memo = _SweepMemo(key)
@@ -413,37 +412,29 @@ def mode_predictions(prob: TransferProblem, beta_star: float, design: Design,
 
 def _shared_fits(cfg: ExperimentConfig, data: TrialData,
                  degree: int) -> tuple[BasisSpec, GaussianDist, DesignFactors]:
-    """A model-param trial's basis, source likelihood and target design factors at one degree."""
+    """A trial's basis, source likelihood and target design factors at one degree."""
     spec = BasisSpec.total_order(cfg.reference_box(), degree)
     source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, cfg.noise_var()))
     return spec, source_lik, factorize(spec, data.X_target)
 
 
 def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int, points: np.ndarray,
-                   memo: _SweepMemo | None = None,
-                   trial: int = 0) -> tuple[float, dict[str, PfpPrediction]]:
+                   trial: int) -> tuple[float, dict[str, PfpPrediction]]:
     """Fit both tasks at one degree, optimize beta, and return beta* and `mode_predictions`.
 
-    With the memo of a model-param sweep, the trial's `_shared_fits` come
-    from it, and so does the problem solved at an earlier shift, whose frame
-    SVD `with_target` keeps under a fixed noise variance; only the target
-    outputs are fitted anew.
+    The trial's `_shared_fits` come from the sweep's memo, and so does the
+    problem solved at an earlier shift, whose frame SVD `with_target` keeps
+    under a fixed noise variance; only the target outputs are fitted anew.
     """
-    noise_var = cfg.noise_var()
-    if memo is None:
-        spec = BasisSpec.total_order(cfg.reference_box(), degree)
-        source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, noise_var))
-        target_lik = likelihood(CalibrationTask(spec, data.X_target, data.y_target, noise_var))
-        prob = TransferProblem(source_lik, target_lik, cfg.objective)
-    else:
-        spec, source_lik, design = memo.recall((trial, degree),
-                                               partial(_shared_fits, cfg, data, degree))
-        target_lik = design.fit(data.y_target, noise_var)[0]
-        solved = memo.entries.get((trial, degree, "problem"))
-        prob = (TransferProblem(source_lik, target_lik, cfg.objective) if solved is None
-                else solved.with_target(target_lik))
+    memo, noise_var = _sweep_memo(cfg), cfg.noise_var()
+    spec, source_lik, design = memo.recall((trial, degree),
+                                           partial(_shared_fits, cfg, data, degree))
+    target_lik = design.fit(data.y_target, noise_var)[0]
+    solved = memo.entries.get((trial, degree, "problem"))
+    prob = (TransferProblem(source_lik, target_lik, cfg.objective) if solved is None
+            else solved.with_target(target_lik))
     beta_star = optimize_beta(prob).beta_star
-    if memo is not None and noise_var is not None:  # an estimated one moves the covariance
+    if noise_var is not None:  # an estimated one moves the covariance
         memo.keep((trial, degree, "problem"), prob)
     return beta_star, mode_predictions(prob, beta_star, Design(spec, points),
                                        noise_var=cfg.lpfp_noise_var)
@@ -457,19 +448,14 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
     sweep reads and fills the shift memo; its records are those of a run
     without it.
     """
-    memo = _sweep_memo(cfg) if cfg.shift_mode == "model-param" else None
     try:
-        if memo is None:
-            data = trial_data(cfg, trial)
-        else:
-            data = target_data(cfg, memo.recall((trial, "draws"),
-                                                partial(trial_draws, cfg, trial)))
+        data = trial_data(cfg, trial)
     except NumericError as exc:
         return {d: _failed_record(trial, cfg.shift, str(exc)) for d in cfg.degrees}
     records: dict[int, TrialRecord] = {}
     for degree in cfg.degrees:
         try:
-            beta_star, preds = _predict_modes(cfg, data, degree, data.X_val, memo, trial)
+            beta_star, preds = _predict_modes(cfg, data, degree, data.X_val, trial)
             scores = {}
             for tag, pred in preds.items():
                 scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)
@@ -517,7 +503,7 @@ def pfp_bands(cfg_template: ExperimentConfig, shift: float, degree: int) -> list
         raise ValueError("band export is defined for one-dimensional inputs")
     ref_box = cfg.reference_box()
     grid = np.linspace(ref_box.lower[0], ref_box.upper[0], BAND_GRID_POINTS)
-    _, preds = _predict_modes(cfg, trial_data(cfg, 0), degree, grid)
+    _, preds = _predict_modes(cfg, trial_data(cfg, 0), degree, grid, 0)
     rows = []
     for tag, pred in preds.items():
         sd = np.sqrt(np.maximum(pred.marginal_var, 0.0))

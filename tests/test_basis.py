@@ -87,6 +87,20 @@ class TestDomainBox:
         with pytest.raises(ValueError, match="axis must be"):
             box.translate(0.5, axis)
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("moved", [None, "lower", "upper"])
+    def test_boxes_and_bases_compare_by_their_bounds(self, dim, moved):
+        lower, upper = np.linspace(-1.0, 0.0, dim), np.linspace(1.0, 2.0, dim)
+        bounds = {"lower": lower.tolist(), "upper": upper.tolist()}
+        if moved is not None:
+            bounds[moved][-1] += 0.25
+        box, other = DomainBox(lower, upper), DomainBox(**bounds)  # built apart
+        equal = moved is None
+        assert (box == other) is equal and (box != other) is not equal
+        assert (BasisSpec(box, 2) == BasisSpec(other, 2)) is equal
+        assert BasisSpec(box, 2) != BasisSpec(box, 3)
+        assert box != DomainBox(np.zeros(dim + 1), np.ones(dim + 1)) and box != (lower, upper)
+
     @pytest.mark.parametrize("bound", [{"a": 1}, [{"a": 1}], [None], "a"])
     def test_non_numeric_bounds_raise_value_error(self, bound):
         with pytest.raises(ValueError):

@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pce_transfer.basis import BasisSpec, DomainBox
-from pce_transfer.errors import DomainError
+from pce_transfer.errors import CalibrationError, DomainError, NumericError
 from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
 from pce_transfer.harness import (
     AGGREGATE_CSV_COLUMNS,
     BAND_GRID_POINTS,
     ExperimentConfig,
+    TrialData,
+    TrialRecord,
+    _failed_record,
     aggregate_records,
     derive_seed,
     mode_predictions,
@@ -23,10 +26,10 @@ from pce_transfer.harness import (
     run_shift,
     run_trial,
     sample,
-    trial_data,
+    trial_draws,
 )
 from pce_transfer.models import GenerativeModel, cubic_model, cubic_truth
-from pce_transfer.predict import Design, lpfp, pushforward
+from pce_transfer.predict import Design, lpfp, pushforward, rmse
 from pce_transfer.scenarios import cubic_scenario, ishigami_scenario, subsurface_scenario
 from pce_transfer.transfer import TransferProblem, optimize_beta, tempered_posterior
 
@@ -41,6 +44,64 @@ def small_cubic_cfg(**overrides):
 def gappy_fn(pts):
     """The cubic truth with a gap: NaN above x = 0.29, inside the cubic source box."""
     return np.where(pts[:, 0] > 0.29, np.nan, cubic_truth(pts[:, 0]))
+
+
+def small_ishigami_cfg(**overrides):
+    cfg, _ = ishigami_scenario()
+    base = dict(n_trials=2, n_val=40)
+    base.update(overrides)
+    return dataclasses.replace(cfg, **base)
+
+
+def record_bits(records):
+    """Each record's columns with every float as its exact hex text, NaN and -0.0 included."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in r.as_csv_row())
+            for r in records]
+
+
+# The reference trial pipeline: every draw and fit from scratch, outside any
+# memo, each task fitted by `likelihood(CalibrationTask(...))`.
+
+def reference_data(cfg, trial):
+    """One trial's datasets from its draws and cfg's target model."""
+    draws = trial_draws(cfg, trial)
+    model = cfg.target_model()
+    y_t = model.evaluate(draws.X_target)
+    if draws.target_noise is not None:
+        y_t = y_t + draws.target_noise
+    return TrialData(draws.X_source, draws.y_source, draws.X_target, y_t, draws.X_val,
+                     model.evaluate(draws.X_val))
+
+
+def reference_problem(cfg, data, degree):
+    """The transfer problem of one trial at one degree, and its validation design."""
+    spec = BasisSpec.total_order(cfg.reference_box(), degree)
+    nv = cfg.noise_var()
+    src = likelihood(CalibrationTask(spec, data.X_source, data.y_source, nv))
+    tgt = likelihood(CalibrationTask(spec, data.X_target, data.y_target, nv))
+    return TransferProblem(src, tgt, cfg.objective), Design(spec, data.X_val)
+
+
+def reference_records(cfg, trial):
+    """The records run_trial(cfg, trial) must give, by degree."""
+    try:
+        data = reference_data(cfg, trial)
+    except NumericError as exc:
+        return {d: _failed_record(trial, cfg.shift, str(exc)) for d in cfg.degrees}
+    records = {}
+    for degree in cfg.degrees:
+        try:
+            prob, design = reference_problem(cfg, data, degree)
+            beta_star = optimize_beta(prob).beta_star
+            preds = mode_predictions(prob, beta_star, design, noise_var=cfg.lpfp_noise_var)
+            scores = {}
+            for tag, pred in preds.items():
+                scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)
+                scores[f"rmse_{tag}"] = rmse(pred, data.y_val)
+            records[degree] = TrialRecord(trial, cfg.shift, beta_star, **scores)
+        except (CalibrationError, NumericError) as exc:
+            records[degree] = _failed_record(trial, cfg.shift, str(exc))
+    return records
 
 
 class TestDeriveSeed:
@@ -130,6 +191,13 @@ class TestExperimentConfig:
         cfg.with_shift(max(shifts))
         with pytest.raises(ValueError, match="outside the subsurface-synthetic domain"):
             cfg.with_shift(5.0)
+
+    def test_configs_with_rebuilt_boxes_compare_by_value(self):
+        cfg = ishigami_scenario()[0]
+        box = cfg.target_box
+        rebuilt = dataclasses.replace(cfg, target_box=DomainBox(box.lower.copy(), box.upper.copy()))
+        assert rebuilt == cfg and rebuilt.target_box is not box
+        assert dataclasses.replace(cfg, target_box=box.translate(0.5, axis=1)) != cfg
 
     def test_model_param_shift_changes_target_model_only(self):
         cfg = dataclasses.replace(ishigami_scenario()[0], n_trials=1)
@@ -287,31 +355,30 @@ class TestRunTrial:
                 "failed: model gappy produced non-finite output"]
             assert np.isnan(records[2].beta_star)
 
-    def test_lpfp_matches_predict_module(self):
-        # Cross-module consistency: recompute the beta* pipeline by hand.
-        cfg = small_cubic_cfg()
-        rec = run_trial(cfg, 1)[3]
-        data = trial_data(cfg, 1)
-        spec = BasisSpec.total_order(cfg.reference_box(), 3)
-        nv = cfg.noise_var()
-        src = likelihood(CalibrationTask(spec, data.X_source, data.y_source, nv))
-        tgt = likelihood(CalibrationTask(spec, data.X_target, data.y_target, nv))
-        prob = TransferProblem(src, tgt, cfg.objective)
-        res = optimize_beta(prob)
-        pred = pushforward(res.tempered_posterior, Design(spec, data.X_val),
-                           noise_var=cfg.lpfp_noise_var)
-        assert rec.beta_star == res.beta_star
-        assert rec.lpfp_bstar == lpfp(pred, data.y_val)
+    @pytest.mark.parametrize("cfg,warm_shift,shift", [
+        (small_cubic_cfg(), None, 0.0),
+        (small_ishigami_cfg(), 0.0, 0.5),
+        (small_ishigami_cfg(likelihood_noise_sd=None, noise_sd=0.0, degrees=(2, 3)), 0.0, 0.5),
+    ], ids=["target-box", "memoized-shift", "estimated-noise"])
+    def test_lpfp_matches_predict_module(self, monkeypatch, cfg, warm_shift, shift):
+        # Cross-module consistency: every column of the reference pipeline, bit for bit,
+        # for a model-param trial also once an earlier shift filled the memo.
+        from pce_transfer import harness
+
+        monkeypatch.setattr(harness, "_memo", harness._SweepMemo(None))
+        if warm_shift is not None:
+            run_shift(cfg, warm_shift)
+            assert harness._memo.entries
+        cfg = cfg.with_shift(shift)
+        for trial in range(cfg.n_trials):
+            got = record_bits(run_trial(cfg, trial).values())
+            assert got == record_bits(reference_records(cfg, trial).values())
+            assert all(r[-1] == "ok" for r in got)
 
 
-def scenario_problem(cfg, degree, trial=0):
-    """The transfer problem and validation design of one trial of a shipped study."""
-    data = trial_data(cfg, trial)
-    spec = BasisSpec.total_order(cfg.reference_box(), degree)
-    nv = cfg.noise_var()
-    src = likelihood(CalibrationTask(spec, data.X_source, data.y_source, nv))
-    tgt = likelihood(CalibrationTask(spec, data.X_target, data.y_target, nv))
-    return TransferProblem(src, tgt, cfg.objective), Design(spec, data.X_val)
+def scenario_problem(cfg, degree):
+    """The transfer problem and validation design of trial 0 of a shipped study."""
+    return reference_problem(cfg, reference_data(cfg, 0), degree)
 
 
 class TestModePredictions:
@@ -408,8 +475,6 @@ class TestTrialIndependenceAndSweep:
         assert chunks == [1, 2, 2]
 
     def test_aggregate_row_holds_the_csv_columns_in_order(self):
-        from pce_transfer.harness import _failed_record
-
         records = run_shift(small_cubic_cfg(n_trials=2), 0.0)[3]
         assert tuple(aggregate_records(0.0, records)) == AGGREGATE_CSV_COLUMNS
         failed = aggregate_records(0.0, [_failed_record(0, 0.0, "synthetic")])
@@ -417,8 +482,6 @@ class TestTrialIndependenceAndSweep:
         assert all(np.isnan(failed[c]) for c in AGGREGATE_CSV_COLUMNS[3:])
 
     def test_aggregate_excludes_failed_trials(self):
-        from pce_transfer.harness import TrialRecord, _failed_record
-
         ok = TrialRecord(0, 0.0, 1.0, -1.0, -0.5, -0.2, 0.3, 0.2, 0.1)
         bad = _failed_record(1, 0.0, "synthetic")
         agg = aggregate_records(0.0, [ok, bad])
@@ -429,8 +492,6 @@ class TestTrialIndependenceAndSweep:
     def test_csv_row_round_trips_through_its_text(self):
         import csv
         import io
-
-        from pce_transfer.harness import TrialRecord, _failed_record
 
         records = [TrialRecord(0, 0.1, 1 / 3, -1e-300, -0.5, 2e300, 0.3, 0.2, 0.1),
                    _failed_record(1, 0.1, "synthetic, with a comma")]
@@ -478,23 +539,10 @@ class TestBands:
             pfp_bands(cfg, 0.0, 3)
 
 
-def small_ishigami_cfg(**overrides):
-    cfg, _ = ishigami_scenario()
-    base = dict(n_trials=2, n_val=40)
-    base.update(overrides)
-    return dataclasses.replace(cfg, **base)
-
-
 def spiky_ishigami_fn(pts, theta=0.0):
     """The Ishigami response, NaN everywhere at theta = 0.5 and finite elsewhere."""
     out = np.sin(pts[:, 0] - theta) + pts[:, 1] ** 4 * np.sin(pts[:, 0])
     return out + (np.nan if theta == 0.5 else 0.0)
-
-
-def record_bits(records):
-    """Each record's columns with every float as its exact hex text, NaN and -0.0 included."""
-    return [tuple(v.hex() if isinstance(v, float) else v for v in r.as_csv_row())
-            for r in records]
 
 
 def memo_array_bytes(memo) -> int:
@@ -529,18 +577,14 @@ class TestShiftMemo:
     def bits(by_degree):
         return {d: record_bits(records) for d, records in by_degree.items()}
 
-    @classmethod
-    def unmemoized(cls, harness, cfg, shift, trials=None):
-        """The records of run_shift, or of the given trials, on the path without a memo."""
-        real = harness._sweep_memo
-        harness._sweep_memo = lambda cfg: None
-        try:
-            if trials is None:
-                return cls.bits(run_shift(cfg, shift))
-            return [record_bits(harness.run_trial(cfg.with_shift(shift), t).values())
-                    for t in trials]
-        finally:
-            harness._sweep_memo = real
+    @staticmethod
+    def unmemoized(cfg, shift, trials=None):
+        """The records of run_shift, or of the given trials, by the reference pipeline."""
+        cfg = cfg.with_shift(shift)
+        if trials is not None:
+            return [record_bits(reference_records(cfg, t).values()) for t in trials]
+        per_trial = [reference_records(cfg, t) for t in range(cfg.n_trials)]
+        return {d: record_bits(records[d] for records in per_trial) for d in cfg.degrees}
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -550,7 +594,7 @@ class TestShiftMemo:
     def test_every_shift_order_gives_the_unmemoized_records(self, empty_memo, overrides):
         cfg = small_ishigami_cfg(**overrides)
         other = dataclasses.replace(cfg, seed=7)
-        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
         assert all(r[-1] == "ok" for recs in expected[0.5].values() for r in recs)
         orders = [self.SHIFTS, self.SHIFTS[::-1], (0.5, 0.0, 1.0, 0.0, 0.5)]
         for order in orders:
@@ -579,7 +623,7 @@ class TestShiftMemo:
     def test_non_finite_target_at_one_shift_fails_that_shift_only(self, empty_memo):
         model = GenerativeModel("spiky", 2, spiky_ishigami_fn, {"theta": 0.0})
         cfg = small_ishigami_cfg(model=model)
-        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
         for shift in self.SHIFTS + self.SHIFTS[::-1]:
             got = self.bits(run_shift(cfg, shift))
             assert got == expected[shift]
@@ -590,7 +634,7 @@ class TestShiftMemo:
     def test_ill_conditioned_target_design_fails_every_shift_alike(self, empty_memo):
         tiny = DomainBox(np.array([0.0, 0.0]), np.array([1e-3, 1e-3]))
         cfg = small_ishigami_cfg(target_box=tiny)
-        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
         for shift in self.SHIFTS:
             got = self.bits(run_shift(cfg, shift))
             assert got == expected[shift] and got[3][0][-1] == expected[0.0][3][0][-1]
@@ -600,7 +644,7 @@ class TestShiftMemo:
 
     def test_a_two_worker_pool_gives_the_serial_records(self, empty_memo):
         cfg = small_ishigami_cfg(n_trials=4, degrees=(2, 3))
-        expected = {s: self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS}
+        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
         with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
             for shift in self.SHIFTS + self.SHIFTS:
                 assert self.bits(run_shift(cfg, shift, pool=pool)) == expected[shift]
@@ -609,7 +653,7 @@ class TestShiftMemo:
         import sys
 
         sweeps = [small_ishigami_cfg(n_trials=4), small_ishigami_cfg(n_trials=4, seed=7)]
-        expected = [[self.unmemoized(empty_memo, cfg, s) for s in self.SHIFTS] for cfg in sweeps]
+        expected = [[self.unmemoized(cfg, s) for s in self.SHIFTS] for cfg in sweeps]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -643,12 +687,15 @@ class TestShiftMemo:
         trials = (0, max(stored) + 1, 199)
         records = run_shift(cfg, 1.0)[3]
         assert ([record_bits([records[t]]) for t in trials]
-                == self.unmemoized(empty_memo, cfg, 1.0, trials))
+                == self.unmemoized(cfg, 1.0, trials))
 
-    def test_target_box_sweep_stores_nothing(self, empty_memo):
+    def test_target_box_sweep_stores_nothing(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(empty_memo, "_sweep_key",
+                            lambda cfg: pytest.fail("a target-box sweep computed a memo key"))
         for shift in (0.0, 0.5):
             run_shift(small_cubic_cfg(n_trials=2), shift)
         assert empty_memo._memo.entries == {} and empty_memo._memo.key is None
+        assert empty_memo._NO_MEMO.entries == {}
 
     def test_parameters_changed_in_place_give_fresh_records(self, empty_memo):
         cfg = small_ishigami_cfg(n_trials=1)
@@ -656,4 +703,4 @@ class TestShiftMemo:
         cfg.model.parameters["theta"] = 0.25
         after = self.bits(run_shift(cfg, 0.5))
         assert after != before
-        assert after == self.unmemoized(empty_memo, cfg, 0.5)
+        assert after == self.unmemoized(cfg, 0.5)
