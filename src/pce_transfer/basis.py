@@ -98,6 +98,9 @@ class DomainBox:
             return NotImplemented
         return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
 
+    def __hash__(self):  # over the bounds as floats, so that 0.0 and -0.0 hash alike
+        return hash((tuple(self.lower.tolist()), tuple(self.upper.tolist())))
+
     @property
     def dimension(self) -> int:
         return self.lower.size

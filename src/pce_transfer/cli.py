@@ -260,10 +260,10 @@ def build_scenarios(cfg: dict) -> tuple[list[tuple[str, object, tuple]], dict]:
 
 def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> int:
     sweeps, bands = build_scenarios(cfg)
-    # One pool serves every shift of every sweep.  It forks all its workers at
-    # the first map, so workers beyond the largest shift's trials would idle.
-    # The fork comes before this process has run any trial algebra, which
-    # keeps the workers' resident sets small.
+    # One pool serves every sweep.  It forks all its workers at the first
+    # map, so workers beyond the largest sweep's trials would idle.  The fork
+    # comes before this process has run any trial algebra, which keeps the
+    # workers' resident sets small.
     workers = min(workers, max(exp_cfg.n_trials for _, exp_cfg, _ in sweeps))
     if workers == 1:
         return run_sweeps(cfg, sweeps, bands, out_dir, force, pool=None, pool_broke=())
@@ -278,12 +278,14 @@ def run_sweep_command(cfg: dict, out_dir: Path, workers: int, force: bool) -> in
 
 def run_sweeps(cfg: dict, sweeps: list, bands: dict, out_dir: Path, force: bool,
                pool, pool_broke) -> int:
-    """Run or resume every shift of every sweep; write shards, tables, bands and summary.
+    """Run or resume every sweep; write shards, tables, bands and summary.
 
+    A sweep's shifts whose shards are missing, stale or not whole (all of
+    them under force) go to one `run_shift`, and each gets its shards.
     bands maps each band label to its shift.  pool goes to every `run_shift`;
     pool_broke is the exception it raises when a worker dies, or () for no
-    pool, which an except clause never matches.  Such a shift ends the
-    command with exit 1, and the shards of the shifts before it stay, so a
+    pool, which an except clause never matches.  Such a sweep ends the
+    command with exit 1, and the shards of the sweeps before it stay, so a
     rerun resumes from them.  A shift whose trials all failed, or a band that
     cannot be fitted, is reported once every other output is written: exit 1.
     """
@@ -295,27 +297,23 @@ def run_sweeps(cfg: dict, sweeps: list, bands: dict, out_dir: Path, force: bool,
         resolved = {**cfg, "resolved_experiment": exp_cfg.to_dict(), "shifts": list(shifts)}
         config_line = canonical_config_line(resolved)
 
-        per_shift = []  # each shift's {degree: records}, in shift order
-        for idx, shift in enumerate(shifts):
-            shard_paths = {
-                d: sweep_dir / "shards" / f"shift_{idx:03d}_d{d}.csv"
-                for d in exp_cfg.degrees
-            }
-            by_degree = {} if force else {
-                d: read_trial_csv(p, config_line, exp_cfg.n_trials)
-                for d, p in shard_paths.items()
-            }
-            if not by_degree or None in by_degree.values():
-                try:
-                    by_degree = run_shift(exp_cfg, shift, pool=pool)
-                except pool_broke as exc:
-                    print(f"error: a worker process died in sweep {name}, shift {shift}: {exc}",
-                          file=sys.stderr)
-                    return 1
+        shard_paths = [{d: sweep_dir / "shards" / f"shift_{idx:03d}_d{d}.csv"
+                        for d in exp_cfg.degrees} for idx in range(len(shifts))]
+        per_shift = [{d: None if force else read_trial_csv(p, config_line, exp_cfg.n_trials)
+                      for d, p in paths.items()} for paths in shard_paths]
+        stale = [idx for idx, by_degree in enumerate(per_shift) if None in by_degree.values()]
+        if stale:
+            try:
+                computed = run_shift(exp_cfg, [shifts[idx] for idx in stale], pool=pool)
+            except pool_broke as exc:
+                print(f"error: a worker process died in sweep {name}: {exc}", file=sys.stderr)
+                return 1
+            for idx, by_degree in zip(stale, computed):
+                per_shift[idx] = by_degree
                 for d, recs in by_degree.items():
-                    write_csv(shard_paths[d], TRIAL_CSV_COLUMNS,
+                    write_csv(shard_paths[idx][d], TRIAL_CSV_COLUMNS,
                               [r.as_csv_row() for r in recs], resolved)
-            per_shift.append(by_degree)
+        for shift, by_degree in zip(shifts, per_shift):
             for d, recs in by_degree.items():
                 if not any(r.ok for r in recs):
                     failures.append(f"every trial failed in sweep {name}, "

@@ -1,22 +1,25 @@
-"""Ensemble experiment harness: sampling, trials, shifts, and band exports.
+"""Ensemble experiment harness: sampling, trials, sweeps, and band exports.
 
 A trial samples source/target/validation data, builds both likelihoods on the
 affine frame of the box encompassing the source and target domains, optimizes
 the tempering exponent, and scores beta* against no transfer (beta = 0) and
 full transfer (beta = 1) on held-out validation data.  `run_shift` runs every
-trial at one domain or task shift, in this process or on a pool of worker
-processes the caller opens, and `aggregate_records` summarizes them.
+trial of one sweep at the given shifts, trial-major: one task runs one trial
+at every shift, in this process or on a pool of worker processes the caller
+opens, and `aggregate_records` summarizes each shift's records.
 `ExperimentConfig` checks every study setting once, through the shared
 checks in `errors`; a failure inside a trial stays in that trial's records.
 
 Every trial, band export included, runs one pipeline: `trial_data` reads
-the draws of `trial_draws` through the sweep's memo, and each degree recalls
-the basis, the source likelihood and the target design's factors from it,
-fits the target outputs and reuses or builds the transfer problem.  A
-model-param shift changes only the target model, so each process keeps that
-shared work across the shifts of one sweep, bounded by MEMO_MAX_BYTES, with
-the whitened frame's SVD; a target-box sweep's memo keeps nothing.  The
-memo stores only pure results, so it changes no record.
+the trial's `trial_draws` and evaluates the target model, and each degree
+takes the basis, the source likelihood and the target design's factors
+(`_shared_fits`), fits the target outputs and builds the transfer problem.
+A model-param shift changes only the target model, so a trial of such a
+sweep keeps, in a dict that lives as long as its task, the draws, each
+degree's `_shared_fits` and its first solved problem, whose whitened-frame
+SVD `with_target` reuses under a fixed noise variance; a target-box shift
+moves every draw, so its trials keep nothing.  Only computed values are
+kept, and they are pure, so a record is that of its trial run alone.
 
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
@@ -26,7 +29,6 @@ configuration and any subset of trials can be recomputed independently.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -265,11 +267,6 @@ class TrialDraws:
     X_val: np.ndarray
     target_noise: np.ndarray | None
 
-    def __post_init__(self):  # the shift memo shares them across shifts
-        for array in vars(self).values():
-            if array is not None:
-                array.flags.writeable = False
-
 
 def trial_draws(cfg: ExperimentConfig, trial: int) -> TrialDraws:
     """Sample every point set of one trial and evaluate the source model on its points.
@@ -293,14 +290,26 @@ def trial_draws(cfg: ExperimentConfig, trial: int) -> TrialDraws:
     return TrialDraws(X_s, y_s, X_t, X_v, target_noise)
 
 
-def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
-    """One trial's datasets: its `trial_draws`, read through the sweep's memo, and target outputs.
+def _recall(shared: dict | None, key, compute):
+    """shared[key], set to compute() on first use; with no store (None), compute().
+
+    A computation that raises is not kept, so it runs again at the next use.
+    """
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+def trial_data(cfg: ExperimentConfig, trial: int, shared: dict | None = None) -> TrialData:
+    """One trial's datasets: its `trial_draws`, kept in shared if given, and target outputs.
 
     cfg's target model gives the outputs.  Target outputs carry the drawn
     noise of sd cfg.noise_sd; validation outputs are noise-free truth.  A
     non-finite output raises NumericError.
     """
-    draws = _sweep_memo(cfg).recall((trial, "draws"), partial(trial_draws, cfg, trial))
+    draws = _recall(shared, "draws", partial(trial_draws, cfg, trial))
     target_model = cfg.target_model()
     y_t = target_model.evaluate(draws.X_target)
     y_v = target_model.evaluate(draws.X_val)
@@ -309,84 +318,6 @@ def trial_data(cfg: ExperimentConfig, trial: int) -> TrialData:
         if not (np.all(np.isfinite(draws.y_source)) and np.all(np.isfinite(y_t))):
             raise NumericError("the injected noise overflowed a training output")
     return TrialData(draws.X_source, draws.y_source, draws.X_target, y_t, draws.X_val, y_v)
-
-
-# The most bytes of arrays (4 MiB) the shift memo holds; past it, trials run unstored.
-MEMO_MAX_BYTES = 2**22
-
-
-def _sweep_key(cfg: ExperimentConfig) -> tuple:
-    """Every field of cfg but shift, by value.
-
-    Boxes compare by their bounds; the model by its function, name,
-    dimension, parameter values and domain, copied so that a parameters dict
-    changed in place later compares unequal.
-    """
-    def value(v):
-        if isinstance(v, GenerativeModel):
-            params = {k: np.asarray(p).tolist() for k, p in v.parameters.items()}
-            return v.fn, v.name, v.dimension, params, v.domain
-        return v
-
-    return tuple(value(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "shift")
-
-
-def _nbytes(value, seen: set) -> int:
-    """Bytes of the distinct arrays reachable from value through attributes and tuples."""
-    if isinstance(value, np.ndarray):
-        new = id(value) not in seen
-        seen.add(id(value))
-        return value.nbytes if new else 0
-    parts = value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values()
-    return sum(_nbytes(part, seen) for part in parts)
-
-
-class _SweepMemo:
-    """What the trials of one model-param sweep share across its shifts, in this process.
-
-    Entries are keyed by (trial, ...).  A value is kept only once computed,
-    so a failure is recomputed at every shift, and only while the arrays
-    kept stay under MEMO_MAX_BYTES.  The memo of no sweep (key None) keeps
-    nothing.
-    """
-
-    def __init__(self, key):
-        self.key, self.entries, self.nbytes = key, {}, 0
-        self.lock = threading.Lock()  # trials may run in threads of one process
-
-    def keep(self, key, value):
-        if self.key is None or key in self.entries:
-            return
-        size = _nbytes(value, set())
-        with self.lock:
-            if key not in self.entries and self.nbytes + size <= MEMO_MAX_BYTES:
-                self.entries[key] = value
-                self.nbytes += size
-
-    def recall(self, key, compute):
-        """The value kept under key, else compute()'s, which is kept if it fits."""
-        value = self.entries.get(key)
-        if value is None:
-            value = compute()
-            self.keep(key, value)
-        return value
-
-
-_memo = _NO_MEMO = _SweepMemo(None)
-
-
-def _sweep_memo(cfg: ExperimentConfig) -> _SweepMemo:
-    """The memo of cfg's sweep; a config of another sweep replaces the last one.
-
-    A target-box shift moves every draw, so such a sweep gets the memo that keeps nothing.
-    """
-    global _memo
-    if cfg.shift_mode == "target-box":
-        return _NO_MEMO
-    key, memo = _sweep_key(cfg), _memo  # one read: another thread may replace it
-    if key != memo.key:
-        memo = _memo = _SweepMemo(key)
-    return memo
 
 
 def _failed_record(trial: int, shift: float, reason: str) -> TrialRecord:
@@ -419,43 +350,43 @@ def _shared_fits(cfg: ExperimentConfig, data: TrialData,
 
 
 def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int, points: np.ndarray,
-                   trial: int) -> tuple[float, dict[str, PfpPrediction]]:
+                   shared: dict | None = None) -> tuple[float, dict[str, PfpPrediction]]:
     """Fit both tasks at one degree, optimize beta, and return beta* and `mode_predictions`.
 
-    The trial's `_shared_fits` come from the sweep's memo, and so does the
-    problem solved at an earlier shift, whose frame SVD `with_target` keeps
-    under a fixed noise variance; only the target outputs are fitted anew.
+    shared, a model-param trial's store, keeps the degree's `_shared_fits`
+    and the problem first solved under a fixed noise variance, whose frame
+    SVD `with_target` reuses; only the target outputs are fitted anew.
     """
-    memo, noise_var = _sweep_memo(cfg), cfg.noise_var()
-    spec, source_lik, design = memo.recall((trial, degree),
-                                           partial(_shared_fits, cfg, data, degree))
+    noise_var = cfg.noise_var()
+    spec, source_lik, design = _recall(shared, degree, partial(_shared_fits, cfg, data, degree))
     target_lik = design.fit(data.y_target, noise_var)[0]
-    solved = memo.entries.get((trial, degree, "problem"))
+    solved = None if shared is None else shared.get(("problem", degree))
     prob = (TransferProblem(source_lik, target_lik, cfg.objective) if solved is None
             else solved.with_target(target_lik))
     beta_star = optimize_beta(prob).beta_star
-    if noise_var is not None:  # an estimated one moves the covariance
-        memo.keep((trial, degree, "problem"), prob)
+    if shared is not None and noise_var is not None:  # an estimated one moves the covariance
+        shared.setdefault(("problem", degree), prob)
     return beta_star, mode_predictions(prob, beta_star, Design(spec, points),
                                        noise_var=cfg.lpfp_noise_var)
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
-    """One ensemble realization for every configured degree.
+def run_trial(cfg: ExperimentConfig, trial: int,
+              shared: dict | None = None) -> dict[int, TrialRecord]:
+    """One ensemble realization at cfg's shift, for every configured degree.
 
-    Calibration and numeric failures, a non-finite model output among them,
-    become failed records rather than aborting the sweep.  A model-param
-    sweep reads and fills the shift memo; its records are those of a run
-    without it.
+    shared is the dict in which a model-param trial keeps what its shifts
+    share (see `run_shift`), or None to keep nothing; the records are the
+    same either way.  Calibration and numeric failures, a non-finite model
+    output among them, become failed records rather than aborting the sweep.
     """
     try:
-        data = trial_data(cfg, trial)
+        data = trial_data(cfg, trial, shared)
     except NumericError as exc:
         return {d: _failed_record(trial, cfg.shift, str(exc)) for d in cfg.degrees}
     records: dict[int, TrialRecord] = {}
     for degree in cfg.degrees:
         try:
-            beta_star, preds = _predict_modes(cfg, data, degree, data.X_val, trial)
+            beta_star, preds = _predict_modes(cfg, data, degree, data.X_val, shared)
             scores = {}
             for tag, pred in preds.items():
                 scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)
@@ -466,20 +397,29 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[int, TrialRecord]:
     return records
 
 
-def run_shift(cfg_template: ExperimentConfig, shift: float,
-              pool=None) -> dict[int, list[TrialRecord]]:
-    """All trials at one shift, keyed by degree and ordered by trial index.
+def _trial_at_shifts(cfgs: list[ExperimentConfig], trial: int) -> list[dict[int, TrialRecord]]:
+    """`run_trial` of one trial at each config; a model-param trial's shifts share one store."""
+    shared: dict = {}
+    return [run_trial(cfg, trial, shared if cfg.shift_mode == "model-param" else None)
+            for cfg in cfgs]
 
-    pool, an executor such as a `concurrent.futures.ProcessPoolExecutor`,
-    spreads the trials over its workers; without one they run in this process.
-    Records do not depend on which process computes them.
+
+def run_shift(cfg_template: ExperimentConfig, shifts,
+              pool=None) -> list[dict[int, list[TrialRecord]]]:
+    """Every trial of one sweep at each of shifts: per shift, records by degree in trial order.
+
+    One task runs one trial at all the shifts.  pool, an executor such as a
+    `concurrent.futures.ProcessPoolExecutor`, spreads the tasks over its
+    workers; without one they run in this process.  Records depend neither
+    on the process that computes them nor on the other shifts given.
     """
-    cfg = cfg_template.with_shift(shift)
-    trials = range(cfg.n_trials)
-    # About eight tasks per shift: a round trip per trial outweighs a short trial.
-    run = map if pool is None else partial(pool.map, chunksize=max(1, cfg.n_trials // 8))
-    per_trial = list(run(run_trial, [cfg] * cfg.n_trials, trials))
-    return {d: [per_trial[t][d] for t in trials] for d in cfg.degrees}
+    cfgs = [cfg_template.with_shift(shift) for shift in shifts]
+    trials = range(cfg_template.n_trials)
+    # About eight tasks per sweep: a round trip per trial outweighs a short trial.
+    run = map if pool is None else partial(pool.map, chunksize=max(1, len(trials) // 8))
+    per_trial = list(run(partial(_trial_at_shifts, cfgs), trials))
+    return [{d: [per_trial[t][i][d] for t in trials] for d in cfg.degrees}
+            for i, cfg in enumerate(cfgs)]
 
 
 def aggregate_records(shift: float, records: list[TrialRecord]) -> dict:
@@ -503,7 +443,7 @@ def pfp_bands(cfg_template: ExperimentConfig, shift: float, degree: int) -> list
         raise ValueError("band export is defined for one-dimensional inputs")
     ref_box = cfg.reference_box()
     grid = np.linspace(ref_box.lower[0], ref_box.upper[0], BAND_GRID_POINTS)
-    _, preds = _predict_modes(cfg, trial_data(cfg, 0), degree, grid, 0)
+    _, preds = _predict_modes(cfg, trial_data(cfg, 0), degree, grid)
     rows = []
     for tag, pred in preds.items():
         sd = np.sqrt(np.maximum(pred.marginal_var, 0.0))

@@ -23,8 +23,8 @@ posteriors and `fuse` (the frame at beta = 1) all read it, and
 same covariances.  The optimizer scans a dense grid, DS as log-DS so that
 it cannot underflow, and refines with golden-section search;
 `objective_value` reproduces a scan point bit for bit.
-The scan runs in blocks of fixed size in place, so its memory grows with the
-number of scan points, not with scan points times coefficients.
+The scan runs in blocks of fixed size in place, so the space it takes grows
+with the number of scan points, not with scan points times coefficients.
 """
 
 from __future__ import annotations

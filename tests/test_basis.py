@@ -101,6 +101,15 @@ class TestDomainBox:
         assert BasisSpec(box, 2) != BasisSpec(box, 3)
         assert box != DomainBox(np.zeros(dim + 1), np.ones(dim + 1)) and box != (lower, upper)
 
+    def test_equal_boxes_and_bases_hash_equal(self):
+        # -0.0 equals 0.0 under np.array_equal, so the two must hash alike.
+        box = DomainBox(np.array([0.0, -1.0]), np.array([1.0, 2.0]))
+        other = DomainBox([-0.0, -1.0], [1.0, 2.0])  # built apart, with -0.0
+        assert box == other and hash(box) == hash(other)
+        assert {BasisSpec(box, 2)} == {BasisSpec(other, 2)}
+        assert len({BasisSpec(box, 2), BasisSpec(other, 2), BasisSpec(box, 3)}) == 2
+        assert {box: "a"}[other] == "a"
+
     @pytest.mark.parametrize("bound", [{"a": 1}, [{"a": 1}], [None], "a"])
     def test_non_numeric_bounds_raise_value_error(self, bound):
         with pytest.raises(ValueError):

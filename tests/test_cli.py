@@ -35,11 +35,23 @@ def run_python(*args, cwd=None, env=None):
                           env=env, timeout=120)
 
 
-def die_at_shift_0_1(cfg, trial):
-    """harness.run_trial, except that at shift 0.1 its process exits at once."""
-    if cfg.shift == 0.1:
+def die_in_sweep_r3(cfg, trial, shared=None):
+    """harness.run_trial, except that in the subsurface R3 sweep (axis 2) its process exits."""
+    if cfg.shift_axis == 2:
         os._exit(3)
-    return RUN_TRIAL(cfg, trial)
+    return RUN_TRIAL(cfg, trial, shared)
+
+
+def record_shifts(monkeypatch):
+    """The (shift axis, shift) of every harness.run_trial call from now on, in call order."""
+    calls = []
+
+    def spy(cfg, trial, shared=None):
+        calls.append((cfg.shift_axis, cfg.shift))
+        return RUN_TRIAL(cfg, trial, shared)
+
+    monkeypatch.setattr(harness, "run_trial", spy)
+    return calls
 
 
 def output_files(out):
@@ -431,6 +443,18 @@ class TestWholeFiles:
         assert run_cli(*args, "--out", str(out)) == 0
         assert output_files(out) == output_files(fresh)
 
+    def test_a_deleted_shard_recomputes_only_its_shift(self, tmp_path, monkeypatch):
+        args = ["repro-ishigami", "--set", "n_trials=2", "--set", "shifts=[0.0,0.5,1.0]",
+                "--set", "n_val=20"]
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        assert run_cli(*args, "--out", str(fresh)) == 0
+        assert run_cli(*args, "--out", str(out)) == 0
+        (out / "shards" / "shift_001_d3.csv").unlink()
+        calls = record_shifts(monkeypatch)
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert {shift for _, shift in calls} == {0.5}
+        assert output_files(out) == output_files(fresh)
+
     @pytest.mark.parametrize("edit", ["reorder", "extra-row", "no-header", "blank-cell"])
     def test_shard_that_is_not_trials_0_to_n_is_recomputed(self, tmp_path, edit):
         out = tmp_path / "run"
@@ -601,10 +625,10 @@ class TestRepro:
 
     @pytest.mark.parametrize("workers", [2, 64])
     def test_pool_never_exceeds_trial_count(self, tmp_path, monkeypatch, workers):
-        # One pool serves the whole command.  It forks all max_workers
-        # processes at the first map, so workers beyond the trials of a shift
-        # would sit idle, and one trial per shift needs no pool at all; an
-        # in-process fake records each pool built.
+        # One pool serves the whole command, with one map per sweep.  It forks
+        # all max_workers processes at the first map, so workers beyond the
+        # trials of a sweep would sit idle, and one trial per sweep needs no
+        # pool at all; an in-process fake records each pool built.
         pools = []
 
         class FakePool:
@@ -626,29 +650,35 @@ class TestRepro:
         args = ["repro-subsurface-synthetic", "--set", "n_trials=3", "--set", "n_val=20",
                 "--set", "shifts=[0.0,0.1]"]
         assert run_cli(*args, "--out", str(tmp_path / "p"), "--workers", str(workers)) == 0
-        assert [(pool.size, pool.maps) for pool in pools] == [(min(workers, 3), 4)]
+        assert [(pool.size, pool.maps) for pool in pools] == [(min(workers, 3), 2)]
         assert run_cli(*args, "--out", str(tmp_path / "s")) == 0
         assert run_cli(*args, "--out", str(tmp_path / "one"), "--set", "n_trials=1",
                        "--workers", str(workers)) == 0
         assert len(pools) == 1
         assert output_files(tmp_path / "p") == output_files(tmp_path / "s")
 
-    def test_dead_worker_exits_1_naming_the_shift_and_keeps_earlier_shards(
+    def test_dead_worker_exits_1_naming_the_sweep_and_keeps_earlier_sweeps(
             self, tmp_path, monkeypatch, capsys):
-        out = tmp_path / "run"
-        args = tiny_repro_args(out, extra=["--set", "n_trials=2", "--set", "shifts=[0.0,0.1]",
-                                           "--set", "bands=false"])
-        monkeypatch.setattr(harness, "run_trial", die_at_shift_0_1)
-        assert run_cli(*args, "--workers", "2") == 1
+        # A sweep's shifts are computed together, so a dead worker costs the
+        # whole sweep; the sweeps before it are written, and a rerun keeps them.
+        args = ["repro-subsurface-synthetic", "--set", "n_trials=2", "--set", "n_val=20",
+                "--set", "shifts=[0.0,0.1]"]
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        monkeypatch.setattr(harness, "run_trial", die_in_sweep_r3)
+        assert run_cli(*args, "--out", str(out), "--workers", "2") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: a worker process died in sweep default, shift 0.1")
-        assert sorted(output_files(out)) == ["shards/shift_000_d1.csv"]
-        first = (out / "shards" / "shift_000_d1.csv").read_bytes()
+        assert err[0].startswith("error: a worker process died in sweep R3: ")
+        z2 = {"z2/shards/shift_000_d3.csv", "z2/shards/shift_001_d3.csv"}
+        assert set(output_files(out)) == z2 | {"z2/trials_d3.csv", "z2/aggregate_d3.csv"}
+        first = {rel: data for rel, data in output_files(out).items() if rel in z2}
+        calls = record_shifts(monkeypatch)
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert {axis for axis, _ in calls} == {2}  # R3's only: z2's shards were kept
+        assert {rel: output_files(out)[rel] for rel in z2} == first
         monkeypatch.setattr(harness, "run_trial", RUN_TRIAL)
-        assert run_cli(*args) == 0
-        assert (out / "shards" / "shift_000_d1.csv").read_bytes() == first
-        assert (out / "summary.json").exists()
+        assert run_cli(*args, "--out", str(fresh)) == 0
+        assert output_files(out) == output_files(fresh)
 
 
 REJECTED_SWEEP_SETTINGS = [

@@ -59,8 +59,8 @@ def record_bits(records):
             for r in records]
 
 
-# The reference trial pipeline: every draw and fit from scratch, outside any
-# memo, each task fitted by `likelihood(CalibrationTask(...))`.
+# The reference trial pipeline: every draw and fit from scratch, at one shift
+# alone, each task fitted by `likelihood(CalibrationTask(...))`.
 
 def reference_data(cfg, trial):
     """One trial's datasets from its draws and cfg's target model."""
@@ -348,32 +348,26 @@ class TestRunTrial:
         # failing trial must not abort the shift or touch the other trials.
         cfg = small_cubic_cfg(model=GenerativeModel("gappy", 1, gappy_fn), n_trials=6,
                               degrees=(1, 3))
-        by_degree = run_shift(cfg, 0.0)
+        [by_degree] = run_shift(cfg, [0.0])
         for records in by_degree.values():
             assert [r.status for r in records] == [
                 "ok", "ok", "failed: model gappy produced non-finite output", "ok", "ok",
                 "failed: model gappy produced non-finite output"]
             assert np.isnan(records[2].beta_star)
 
-    @pytest.mark.parametrize("cfg,warm_shift,shift", [
-        (small_cubic_cfg(), None, 0.0),
-        (small_ishigami_cfg(), 0.0, 0.5),
-        (small_ishigami_cfg(likelihood_noise_sd=None, noise_sd=0.0, degrees=(2, 3)), 0.0, 0.5),
-    ], ids=["target-box", "memoized-shift", "estimated-noise"])
-    def test_lpfp_matches_predict_module(self, monkeypatch, cfg, warm_shift, shift):
+    @pytest.mark.parametrize("cfg,shifts", [
+        (small_cubic_cfg(), (0.0,)),
+        (small_ishigami_cfg(), (0.0, 0.5)),
+        (small_ishigami_cfg(likelihood_noise_sd=None, noise_sd=0.0, degrees=(2, 3)), (0.0, 0.5)),
+    ], ids=["target-box", "later-shift", "estimated-noise"])
+    def test_lpfp_matches_predict_module(self, cfg, shifts):
         # Cross-module consistency: every column of the reference pipeline, bit for bit,
-        # for a model-param trial also once an earlier shift filled the memo.
-        from pce_transfer import harness
-
-        monkeypatch.setattr(harness, "_memo", harness._SweepMemo(None))
-        if warm_shift is not None:
-            run_shift(cfg, warm_shift)
-            assert harness._memo.entries
-        cfg = cfg.with_shift(shift)
-        for trial in range(cfg.n_trials):
-            got = record_bits(run_trial(cfg, trial).values())
-            assert got == record_bits(reference_records(cfg, trial).values())
-            assert all(r[-1] == "ok" for r in got)
+        # for a model-param trial also at a shift after the first of its sweep.
+        for shift, by_degree in zip(shifts, run_shift(cfg, shifts)):
+            for trial in range(cfg.n_trials):
+                got = record_bits(by_degree[d][trial] for d in cfg.degrees)
+                assert got == record_bits(reference_records(cfg.with_shift(shift), trial).values())
+                assert all(r[-1] == "ok" for r in got)
 
 
 def scenario_problem(cfg, degree):
@@ -435,7 +429,7 @@ class TestTrialIndependenceAndSweep:
 
     def test_single_trial_aggregate_is_identity(self):
         cfg = small_cubic_cfg(n_trials=1)
-        records = run_shift(cfg, 0.0)[3]
+        records = run_shift(cfg, [0.0])[0][3]
         assert len(records) == 1
         rec = records[0]
         agg = aggregate_records(0.0, records)
@@ -447,21 +441,20 @@ class TestTrialIndependenceAndSweep:
 
     def test_sweep_is_reproducible(self):
         cfg = small_cubic_cfg(n_trials=2)
-        for shift in (0.0, 1.0):
-            first = run_shift(cfg, shift)
-            second = run_shift(cfg, shift)
-            assert first == second
-            assert aggregate_records(shift, first[3]) == aggregate_records(shift, second[3])
+        first, second = run_shift(cfg, [0.0, 1.0]), run_shift(cfg, [0.0, 1.0])
+        assert first == second
+        for shift, a, b in zip((0.0, 1.0), first, second):
+            assert aggregate_records(shift, a[3]) == aggregate_records(shift, b[3])
 
     def test_parallel_workers_match_serial(self):
         cfg = small_cubic_cfg(n_trials=4)
         with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            parallel = run_shift(cfg, 0.5, pool=pool)
-        assert parallel == run_shift(cfg, 0.5)
+            parallel = run_shift(cfg, [0.5], pool=pool)
+        assert parallel == run_shift(cfg, [0.5])
 
     def test_pool_gets_the_trials_in_about_eight_tasks(self):
         # One round trip per trial outweighed the short cubic and Ishigami
-        # trials; a shift of two trials still sends one trial per task.
+        # trials; a sweep of two trials still sends one trial per task.
         chunks = []
 
         class RecordingPool:
@@ -471,11 +464,11 @@ class TestTrialIndependenceAndSweep:
 
         cfg = small_cubic_cfg(degrees=(1,), n_val=5)
         for n_trials in (2, 16, 17):
-            run_shift(dataclasses.replace(cfg, n_trials=n_trials), 0.0, pool=RecordingPool())
+            run_shift(dataclasses.replace(cfg, n_trials=n_trials), [0.0], pool=RecordingPool())
         assert chunks == [1, 2, 2]
 
     def test_aggregate_row_holds_the_csv_columns_in_order(self):
-        records = run_shift(small_cubic_cfg(n_trials=2), 0.0)[3]
+        records = run_shift(small_cubic_cfg(n_trials=2), [0.0])[0][3]
         assert tuple(aggregate_records(0.0, records)) == AGGREGATE_CSV_COLUMNS
         failed = aggregate_records(0.0, [_failed_record(0, 0.0, "synthetic")])
         assert tuple(failed) == AGGREGATE_CSV_COLUMNS
@@ -545,162 +538,125 @@ def spiky_ishigami_fn(pts, theta=0.0):
     return out + (np.nan if theta == 0.5 else 0.0)
 
 
-def memo_array_bytes(memo) -> int:
-    """The distinct arrays reachable from the memo's entries, summed independently of it."""
-    seen, total, stack = set(), 0, list(memo.entries.values())
-    while stack:
-        value = stack.pop()
-        if isinstance(value, np.ndarray):
-            if id(value) not in seen:
-                seen.add(id(value))
-                total += value.nbytes
-        elif isinstance(value, (tuple, list)):
-            stack.extend(value)
-        elif hasattr(value, "__dict__"):
-            stack.extend(vars(value).values())
-    return total
+def nan_at_theta_0_fn(pts, theta=0.0):
+    """A sine response, NaN everywhere at theta = 0 and finite elsewhere."""
+    return np.sin(pts[:, 0] - theta) + (np.nan if theta == 0.0 else 0.0)
 
 
-class TestShiftMemo:
-    """A model-param sweep reuses each trial's shift-invariant work; records stay bit for bit."""
+class TestTrialMajorSweep:
+    """run_shift runs each trial at all its shifts; records match the reference bit for bit."""
 
     SHIFTS = (0.0, 0.5, 1.0)
 
-    @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
+    @staticmethod
+    def bits(per_shift):
+        return [{d: record_bits(records) for d, records in by_degree.items()}
+                for by_degree in per_shift]
+
+    @staticmethod
+    def reference(cfg, shifts):
+        """run_shift's records by the reference pipeline: each trial alone at each shift."""
+        out = []
+        for shift in shifts:
+            per_trial = [reference_records(cfg.with_shift(shift), t) for t in range(cfg.n_trials)]
+            out.append({d: record_bits(records[d] for records in per_trial) for d in cfg.degrees})
+        return out
+
+    @staticmethod
+    def stores(monkeypatch):
+        """The store that each run_trial call receives, in call order."""
         from pce_transfer import harness
 
-        monkeypatch.setattr(harness, "_memo", harness._SweepMemo(None))
-        return harness
+        seen = []
 
-    @staticmethod
-    def bits(by_degree):
-        return {d: record_bits(records) for d, records in by_degree.items()}
+        def spy(cfg, trial, shared=None):
+            seen.append(shared)
+            return run_trial(cfg, trial, shared)
 
-    @staticmethod
-    def unmemoized(cfg, shift, trials=None):
-        """The records of run_shift, or of the given trials, by the reference pipeline."""
-        cfg = cfg.with_shift(shift)
-        if trials is not None:
-            return [record_bits(reference_records(cfg, t).values()) for t in trials]
-        per_trial = [reference_records(cfg, t) for t in range(cfg.n_trials)]
-        return {d: record_bits(records[d] for records in per_trial) for d in cfg.degrees}
+        monkeypatch.setattr(harness, "run_trial", spy)
+        return seen
 
     @pytest.mark.parametrize("overrides", [
         {},
         {"degrees": (2, 3)},
         {"likelihood_noise_sd": None, "noise_sd": 0.0, "degrees": (2, 3)},
     ], ids=["known-noise", "two-degrees", "estimated-noise"])
-    def test_every_shift_order_gives_the_unmemoized_records(self, empty_memo, overrides):
+    def test_any_subset_and_order_of_shifts_gives_the_reference_records(self, overrides):
         cfg = small_ishigami_cfg(**overrides)
-        other = dataclasses.replace(cfg, seed=7)
-        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
+        expected = dict(zip(self.SHIFTS, self.reference(cfg, self.SHIFTS)))
         assert all(r[-1] == "ok" for recs in expected[0.5].values() for r in recs)
-        orders = [self.SHIFTS, self.SHIFTS[::-1], (0.5, 0.0, 1.0, 0.0, 0.5)]
-        for order in orders:
-            empty_memo._memo = empty_memo._SweepMemo(None)
-            for shift in order:
-                assert self.bits(run_shift(cfg, shift)) == expected[shift], (order, shift)
-        # Another sweep's trials in between empty the memo, and refill it.
-        for shift in self.SHIFTS:
-            run_shift(other, shift)
-            run_shift(small_cubic_cfg(n_trials=1), shift)
-            assert self.bits(run_shift(cfg, shift)) == expected[shift]
+        for shifts in (self.SHIFTS, self.SHIFTS[::-1], (0.5,), (1.0, 0.0),
+                       (0.5, 0.0, 1.0, 0.0, 0.5)):
+            assert self.bits(run_shift(cfg, shifts)) == [expected[s] for s in shifts], shifts
 
-    def test_memo_hits_do_not_refit_the_shared_work(self, empty_memo, monkeypatch):
+    def test_a_model_param_trial_fits_its_shared_work_once(self, monkeypatch):
+        from pce_transfer import harness
+
         cfg = small_ishigami_cfg(n_trials=1)
-        run_shift(cfg, 0.0)
         calls = []
         for name in ("trial_draws", "likelihood", "factorize"):
-            real = getattr(empty_memo, name)
-            monkeypatch.setattr(empty_memo, name,
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
-        run_shift(cfg, 0.5)
-        assert calls == []
-        prob = empty_memo._memo.entries[(0, 3, "problem")]
-        assert "frame" in vars(prob)
+        stores = self.stores(monkeypatch)
+        run_shift(cfg, self.SHIFTS)
+        assert calls == ["trial_draws", "likelihood", "factorize"]
+        assert len(stores) == 3 and all(store is stores[0] for store in stores)
+        assert "frame" in vars(stores[0][("problem", 3)])
 
-    def test_non_finite_target_at_one_shift_fails_that_shift_only(self, empty_memo):
+    def test_estimated_noise_keeps_no_problem(self, monkeypatch):
+        # An estimated noise variance moves the target covariance, so the
+        # frame is built anew at every shift; the fits it does not touch stay.
+        cfg = small_ishigami_cfg(n_trials=1, likelihood_noise_sd=None, noise_sd=0.0,
+                                 degrees=(2, 3))
+        stores = self.stores(monkeypatch)
+        run_shift(cfg, self.SHIFTS)
+        assert set(stores[0]) == {"draws", 2, 3}
+
+    def test_target_box_trials_keep_nothing(self, monkeypatch):
+        stores = self.stores(monkeypatch)
+        cfg = small_cubic_cfg(n_trials=2)
+        assert self.bits(run_shift(cfg, (0.0, 0.5))) == self.reference(cfg, (0.0, 0.5))
+        assert stores == [None] * 4
+
+    def test_non_finite_target_at_one_shift_fails_that_shift_only(self):
         model = GenerativeModel("spiky", 2, spiky_ishigami_fn, {"theta": 0.0})
         cfg = small_ishigami_cfg(model=model)
-        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
-        for shift in self.SHIFTS + self.SHIFTS[::-1]:
-            got = self.bits(run_shift(cfg, shift))
-            assert got == expected[shift]
-            statuses = {r[-1] for r in got[3]}
+        shifts = self.SHIFTS + self.SHIFTS[::-1]
+        got = self.bits(run_shift(cfg, shifts))
+        assert got == self.reference(cfg, shifts)
+        for shift, by_degree in zip(shifts, got):
+            statuses = {r[-1] for r in by_degree[3]}
             assert statuses == ({"failed: model spiky produced non-finite output"}
                                 if shift == 0.5 else {"ok"})
 
-    def test_ill_conditioned_target_design_fails_every_shift_alike(self, empty_memo):
+    def test_non_finite_source_fails_every_shift_alike(self, monkeypatch):
+        # The source model keeps theta = 0, where this response is NaN; every
+        # target model of the sweep is finite.  The failed draws are never
+        # kept, so each shift draws again and fails with the same message.
+        model = GenerativeModel("nan-at-0", 2, nan_at_theta_0_fn, {"theta": 0.0})
+        cfg = small_ishigami_cfg(model=model)
+        stores = self.stores(monkeypatch)
+        got = self.bits(run_shift(cfg, (0.5, 1.0)))
+        assert got == self.reference(cfg, (0.5, 1.0))
+        assert {r[-1] for by_degree in got for r in by_degree[3]} == {
+            "failed: model nan-at-0 produced non-finite output"}
+        assert stores == [{}] * 4
+
+    def test_ill_conditioned_target_design_fails_every_shift_alike(self, monkeypatch):
         tiny = DomainBox(np.array([0.0, 0.0]), np.array([1e-3, 1e-3]))
         cfg = small_ishigami_cfg(target_box=tiny)
-        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
-        for shift in self.SHIFTS:
-            got = self.bits(run_shift(cfg, shift))
-            assert got == expected[shift] and got[3][0][-1] == expected[0.0][3][0][-1]
-            assert all(r[-1].startswith("failed: normal equations condition number")
-                       for r in got[3])
-        assert set(empty_memo._memo.entries) == {(0, "draws"), (1, "draws")}
+        stores = self.stores(monkeypatch)
+        got = self.bits(run_shift(cfg, self.SHIFTS))
+        assert got == self.reference(cfg, self.SHIFTS)
+        for trial in range(cfg.n_trials):  # each trial's message, the same at every shift
+            messages = {by_degree[3][trial][-1] for by_degree in got}
+            assert len(messages) == 1
+            assert messages.pop().startswith("failed: normal equations condition number")
+        assert all(set(store) == {"draws"} for store in stores)
 
-    def test_a_two_worker_pool_gives_the_serial_records(self, empty_memo):
+    def test_a_two_worker_pool_gives_the_serial_records(self):
         cfg = small_ishigami_cfg(n_trials=4, degrees=(2, 3))
-        expected = {s: self.unmemoized(cfg, s) for s in self.SHIFTS}
         with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            for shift in self.SHIFTS + self.SHIFTS:
-                assert self.bits(run_shift(cfg, shift, pool=pool)) == expected[shift]
-
-    def test_threads_of_two_sweeps_give_the_unmemoized_records(self, empty_memo):
-        import sys
-
-        sweeps = [small_ishigami_cfg(n_trials=4), small_ishigami_cfg(n_trials=4, seed=7)]
-        expected = [[self.unmemoized(cfg, s) for s in self.SHIFTS] for cfg in sweeps]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [[pool.submit(run_shift, cfg, s, pool=None) for s in self.SHIFTS * 2]
-                           for cfg in sweeps]
-                got = [[self.bits(f.result(timeout=120)) for f in row] for row in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [row * 2 for row in expected]
-        memo = empty_memo._memo
-        assert memo.nbytes == sum(empty_memo._nbytes(v, set()) for v in memo.entries.values())
-
-    def test_holds_one_sweep_at_a_time(self, empty_memo):
-        first = small_ishigami_cfg(n_trials=3)
-        run_shift(first, 0.0)
-        assert {key[0] for key in empty_memo._memo.entries} == {0, 1, 2}
-        for second in (dataclasses.replace(first, seed=3),
-                       dataclasses.replace(first, model=first.model.with_parameters(theta=0.1))):
-            empty_memo.run_trial(second.with_shift(0.5), 1)
-            assert empty_memo._memo.key == empty_memo._sweep_key(second.with_shift(0.0))
-            assert {key[0] for key in empty_memo._memo.entries} == {1}
-
-    def test_stays_under_its_cap(self, empty_memo):
-        cfg = small_ishigami_cfg(n_trials=200, n_val=1000)
-        run_shift(cfg, 0.0)
-        memo = empty_memo._memo
-        stored = {key[0] for key in memo.entries if key[1] == "draws"}
-        assert 0 < memo_array_bytes(memo) <= memo.nbytes <= empty_memo.MEMO_MAX_BYTES
-        assert 50 < len(stored) < 200  # the cap was reached
-        trials = (0, max(stored) + 1, 199)
-        records = run_shift(cfg, 1.0)[3]
-        assert ([record_bits([records[t]]) for t in trials]
-                == self.unmemoized(cfg, 1.0, trials))
-
-    def test_target_box_sweep_stores_nothing(self, empty_memo, monkeypatch):
-        monkeypatch.setattr(empty_memo, "_sweep_key",
-                            lambda cfg: pytest.fail("a target-box sweep computed a memo key"))
-        for shift in (0.0, 0.5):
-            run_shift(small_cubic_cfg(n_trials=2), shift)
-        assert empty_memo._memo.entries == {} and empty_memo._memo.key is None
-        assert empty_memo._NO_MEMO.entries == {}
-
-    def test_parameters_changed_in_place_give_fresh_records(self, empty_memo):
-        cfg = small_ishigami_cfg(n_trials=1)
-        before = self.bits(run_shift(cfg, 0.5))
-        cfg.model.parameters["theta"] = 0.25
-        after = self.bits(run_shift(cfg, 0.5))
-        assert after != before
-        assert after == self.unmemoized(cfg, 0.5)
+            got = self.bits(run_shift(cfg, self.SHIFTS, pool=pool))
+        assert got == self.reference(cfg, self.SHIFTS)
