@@ -15,11 +15,15 @@ the trial's `trial_draws` and evaluates the target model, and each degree
 takes the basis, the source likelihood and the target design's factors
 (`_shared_fits`), fits the target outputs and builds the transfer problem.
 A model-param shift changes only the target model, so a trial of such a
-sweep keeps, in a dict that lives as long as its task, the draws, each
-degree's `_shared_fits` and its first solved problem, whose whitened-frame
-SVD `with_target` reuses under a fixed noise variance; a target-box shift
-moves every draw, so its trials keep nothing.  Only computed values are
-kept, and they are pure, so a record is that of its trial run alone.
+sweep keeps, in a dict that lives as long as its task, the draws and each
+degree's `_shared_fits` and validation `Design`.  Under a fixed noise
+variance it also keeps each degree's first solved problem, whose
+whitened-frame SVD `with_target` reuses, and the `mode_terms` read off it,
+so a later shift predicts through products with vectors alone; an estimated
+noise variance moves the target covariance, so those are built per shift.
+A target-box shift moves every draw, so its trials keep nothing.  Only
+computed values are kept, and they are pure, so a record is that of its
+trial run alone.
 
 Determinism: every random draw derives from a stable 64-bit hash of
 (master seed, trial index, role tag), so records are a pure function of the
@@ -325,16 +329,30 @@ def _failed_record(trial: int, shift: float, reason: str) -> TrialRecord:
     return TrialRecord(trial, shift, status=f"failed: {reason}", **scores)
 
 
-def mode_predictions(prob: TransferProblem, beta_star: float, design: Design,
-                     noise_var: float = 0.0) -> dict[str, PfpPrediction]:
+def mode_terms(prob: TransferProblem, design: Design, noise_var: float = 0.0) -> tuple:
+    """The terms of `mode_predictions` that the target mean does not move.
+
+    They are the design, G = A F of the whitened frame, G * G, the beta = 0
+    marginal variances (the `pushforward` of the target, plus noise_var) and
+    noise_var, which every marginal variance adds.  Every target of the same
+    covariance under the same frame SVD shares them.
+    """
+    b0_var = pushforward(tempered_posterior(prob, 0.0), design, noise_var=noise_var).marginal_var
+    G = design.matrix @ prob.frame.F
+    return design, G, G * G, b0_var, noise_var
+
+
+def mode_predictions(prob: TransferProblem, beta_star: float,
+                     terms: tuple) -> dict[str, PfpPrediction]:
     """Predictions at beta = 0 ("b0"), beta* ("bstar") and 1 ("b1"), in that order.
 
-    beta* and 1 read the whitened frame through one G = A F, mean G z and
-    variances (G * G) v, so no posterior is formed; beta* = 0 shares b0.
+    terms, `mode_terms` of prob's covariances, leave only products with
+    vectors: the b0 mean A m_t, as `pushforward` forms it, and at beta* and 1
+    mean G z and variances (G * G) v off the whitened frame, so no posterior
+    is formed; beta* = 0 shares b0.
     """
-    preds = {"b0": pushforward(tempered_posterior(prob, 0.0), design, noise_var=noise_var)}
-    G = design.matrix @ prob.frame.F
-    G2 = G * G
+    design, G, G2, b0_var, noise_var = terms
+    preds = {"b0": PfpPrediction(design.matrix @ prob.target.mean, b0_var)}
     for tag, beta in (("bstar", beta_star), ("b1", 1.0)):
         z, var = prob.frame.whitened(beta)
         preds[tag] = preds["b0"] if beta == 0.0 else PfpPrediction(G @ z, G2 @ var + noise_var)
@@ -354,20 +372,26 @@ def _predict_modes(cfg: ExperimentConfig, data: TrialData, degree: int, points: 
     """Fit both tasks at one degree, optimize beta, and return beta* and `mode_predictions`.
 
     shared, a model-param trial's store, keeps the degree's `_shared_fits`
-    and the problem first solved under a fixed noise variance, whose frame
-    SVD `with_target` reuses; only the target outputs are fitted anew.
+    and the `Design` at points.  Under a fixed noise variance it also keeps
+    the problem first solved, whose frame SVD `with_target` reuses, and its
+    `mode_terms`, so a later shift fits only the target outputs and forms
+    only products with vectors.  An estimated noise variance moves the
+    target covariance, so then the frame and the terms are built anew.
     """
     noise_var = cfg.noise_var()
-    spec, source_lik, design = _recall(shared, degree, partial(_shared_fits, cfg, data, degree))
-    target_lik = design.fit(data.y_target, noise_var)[0]
-    solved = None if shared is None else shared.get(("problem", degree))
+    spec, source_lik, factors = _recall(shared, degree, partial(_shared_fits, cfg, data, degree))
+    target_lik = factors.fit(data.y_target, noise_var)[0]
+    fixed = None if noise_var is None else shared
+    solved = None if fixed is None else fixed.get(("problem", degree))
     prob = (TransferProblem(source_lik, target_lik, cfg.objective) if solved is None
             else solved.with_target(target_lik))
     beta_star = optimize_beta(prob).beta_star
-    if shared is not None and noise_var is not None:  # an estimated one moves the covariance
-        shared.setdefault(("problem", degree), prob)
-    return beta_star, mode_predictions(prob, beta_star, Design(spec, points),
-                                       noise_var=cfg.lpfp_noise_var)
+    if fixed is not None:
+        fixed.setdefault(("problem", degree), prob)
+    design = _recall(shared, ("design", degree), partial(Design, spec, points))
+    terms = _recall(fixed, ("terms", degree),
+                    partial(mode_terms, prob, design, cfg.lpfp_noise_var))
+    return beta_star, mode_predictions(prob, beta_star, terms)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int,

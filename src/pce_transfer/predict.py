@@ -4,8 +4,8 @@ A Gaussian coefficient posterior pushed through the (linear) basis map gives
 a Gaussian over outputs at any set of evaluation points: mean = A mu,
 covariance = A Sigma A^T, optionally inflated by an observation-noise
 variance.  The design matrix A of a basis at a list of points is a `Design`,
-built once and shared by every prediction there (`harness.mode_predictions`
-reads beta* and 1 off the whitened frame through it).  Every score here reads
+built once and shared by every prediction there (`harness.mode_terms`
+reads the whitened frame through it for beta* and 1).  Every score here reads
 one point at a time, so a prediction keeps only the per-point marginal
 variances diag(A Sigma A^T), never the m x m covariance between points.
 Scores are the summed per-point marginal log-densities and the plain RMSE.

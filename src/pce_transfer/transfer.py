@@ -164,7 +164,10 @@ class WhitenedFrame:
         return np.log(2.0) + l_st - np.logaddexp(l_ss, l_tt)
 
     def value(self, objective: str, beta: float) -> float:
-        return float(self.values(objective, np.array([beta]))[0])
+        """`values` at one beta, bit for bit: one block of one row in fresh work arrays."""
+        work = np.empty((2, 1, self.w.size))
+        b = np.array([[beta]], dtype=float)
+        return float(self._block(objective, b, work[0], work[1])[0])
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for sampling, trials, shifts, aggregates, and band exports."""
 
+import collections
 import concurrent.futures
 import dataclasses
 import json
@@ -22,6 +23,7 @@ from pce_transfer.harness import (
     aggregate_records,
     derive_seed,
     mode_predictions,
+    mode_terms,
     pfp_bands,
     run_shift,
     run_trial,
@@ -93,7 +95,8 @@ def reference_records(cfg, trial):
         try:
             prob, design = reference_problem(cfg, data, degree)
             beta_star = optimize_beta(prob).beta_star
-            preds = mode_predictions(prob, beta_star, design, noise_var=cfg.lpfp_noise_var)
+            preds = mode_predictions(prob, beta_star,
+                                     mode_terms(prob, design, cfg.lpfp_noise_var))
             scores = {}
             for tag, pred in preds.items():
                 scores[f"lpfp_{tag}"] = lpfp(pred, data.y_val)
@@ -385,7 +388,7 @@ class TestModePredictions:
         assert prob.source.dim == p
         # beta* is 1 at two of these shifts, so an interior beta runs too.
         for beta_star in (optimize_beta(prob).beta_star, 0.3):
-            preds = mode_predictions(prob, beta_star, design, noise_var=0.01)
+            preds = mode_predictions(prob, beta_star, mode_terms(prob, design, noise_var=0.01))
             for tag, beta in (("bstar", beta_star), ("b1", 1.0)):
                 oracle = pushforward(tempered_posterior(prob, beta), design, noise_var=0.01)
                 np.testing.assert_allclose(preds[tag].mean, oracle.mean, rtol=1e-10,
@@ -403,7 +406,7 @@ class TestModePredictions:
         prob = TransferProblem(far, prob.target, "EDF")
         beta_star = optimize_beta(prob).beta_star
         assert beta_star == 0.0
-        preds = mode_predictions(prob, beta_star, design)
+        preds = mode_predictions(prob, beta_star, mode_terms(prob, design))
         assert preds["bstar"] is preds["b0"]
         assert list(preds) == ["b0", "bstar", "b1"]
 
@@ -411,13 +414,13 @@ class TestModePredictions:
     def test_beta_star_outside_0_1_rejected(self, beta_star):
         prob, design = scenario_problem(cubic_scenario()[0], 3)
         with pytest.raises(DomainError, match="must lie in \\[0, 1\\]"):
-            mode_predictions(prob, beta_star, design)
+            mode_predictions(prob, beta_star, mode_terms(prob, design))
 
     @pytest.mark.parametrize("noise_var", [-1.0, float("nan"), float("inf"), True])
     def test_bad_noise_var_rejected(self, noise_var):
         prob, design = scenario_problem(cubic_scenario()[0], 3)
         with pytest.raises(ValueError, match="noise_var must be a non-negative finite number"):
-            mode_predictions(prob, 0.5, design, noise_var=noise_var)
+            mode_predictions(prob, 0.5, mode_terms(prob, design, noise_var=noise_var))
 
 
 class TestTrialIndependenceAndSweep:
@@ -604,14 +607,49 @@ class TestTrialMajorSweep:
         assert len(stores) == 3 and all(store is stores[0] for store in stores)
         assert "frame" in vars(stores[0][("problem", 3)])
 
+    @pytest.mark.parametrize("overrides,pushforwards", [
+        ({}, 1),
+        ({"likelihood_noise_sd": None, "noise_sd": 0.0}, len(SHIFTS)),
+    ], ids=["known-noise", "estimated-noise"])
+    def test_a_model_param_trial_builds_its_validation_design_once(self, monkeypatch,
+                                                                  overrides, pushforwards):
+        # The design depends on the basis and the validation points alone.
+        # The beta = 0 pushforward also reads the target covariance, which
+        # only an estimated noise variance moves from shift to shift.
+        from pce_transfer import harness
+
+        cfg = small_ishigami_cfg(degrees=(2, 3), **overrides)
+        trial, calls = [None], collections.Counter()
+
+        def spy(cfg, t, shared=None):
+            trial[0] = t
+            return run_trial(cfg, t, shared)
+
+        def counted(name, basis_of):
+            real = getattr(harness, name)
+
+            def call(*args, **kwargs):
+                calls[name, trial[0], basis_of(*args).degree] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, call)
+
+        monkeypatch.setattr(harness, "run_trial", spy)
+        counted("Design", lambda spec, points: spec)
+        counted("pushforward", lambda posterior, design: design.basis)
+        run_shift(cfg, self.SHIFTS)
+        assert calls == {(name, t, d): count for t in range(cfg.n_trials) for d in cfg.degrees
+                         for name, count in (("Design", 1), ("pushforward", pushforwards))}
+
     def test_estimated_noise_keeps_no_problem(self, monkeypatch):
         # An estimated noise variance moves the target covariance, so the
-        # frame is built anew at every shift; the fits it does not touch stay.
+        # frame and the prediction terms read off it are built anew at every
+        # shift; the fits and validation designs it does not touch stay.
         cfg = small_ishigami_cfg(n_trials=1, likelihood_noise_sd=None, noise_sd=0.0,
                                  degrees=(2, 3))
         stores = self.stores(monkeypatch)
         run_shift(cfg, self.SHIFTS)
-        assert set(stores[0]) == {"draws", 2, 3}
+        assert set(stores[0]) == {"draws", 2, 3, ("design", 2), ("design", 3)}
+        assert not {("problem", 2), ("problem", 3), ("terms", 2), ("terms", 3)} & set(stores[0])
 
     def test_target_box_trials_keep_nothing(self, monkeypatch):
         stores = self.stores(monkeypatch)
