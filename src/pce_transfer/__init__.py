@@ -16,49 +16,12 @@ import os
 # worker for the same CPUs.  Parallelism comes from --workers instead.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .basis import (
-    BasisSpec,
-    DomainBox,
-    as_points,
-    n_pce,
-    to_reference,
-    vandermonde,
-)
+# The package root names what README's library example and the file commands
+# use; everything else is imported from its module (pce_transfer.harness, ...).
+from .basis import BasisSpec, DomainBox
 from .errors import CalibrationError, DomainError, NumericError
-from .gaussian import (
-    CalibrationTask,
-    DesignFactors,
-    GaussianDist,
-    factorize,
-    likelihood,
-    likelihood_with_report,
-)
-from .harness import (
-    ExperimentConfig,
-    TrialRecord,
-    derive_seed,
-    pfp_bands,
-    run_shift,
-    run_trial,
-    sample,
-)
-from .models import (
-    GenerativeModel,
-    cubic_model,
-    cubic_truth,
-    ishigami,
-    ishigami_model,
-    subsurface_model,
-    synthetic_subsurface,
-)
-from .predict import Design, PfpPrediction, lpfp, pushforward, rmse
-from .transfer import (
-    BetaResult,
-    TransferProblem,
-    fuse,
-    objective_value,
-    optimize_beta,
-    tempered_posterior,
-)
+from .gaussian import GaussianDist, factorize, likelihood
+from .predict import Design, lpfp, pushforward, rmse
+from .transfer import TransferProblem, optimize_beta
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@ never contain timestamps, so identical configurations produce byte-identical
 outputs.
 
 Exit codes, which `main` alone picks, by exception type: 0 success, 1 a failed
-run (CalibrationError, NumericError, OSError, or a sweep shift in which every
-trial failed), 2 bad input (any ValueError, UsageError and DomainError included).
+run (CalibrationError, NumericError, OSError, MemoryError, or a sweep shift in
+which every trial failed), 2 bad input (any ValueError, UsageError and
+DomainError included).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .basis import BasisSpec, n_pce
 from .errors import CalibrationError, NumericError, finite_real, integer
 from .gaussian import (
     DEFAULT_COND_CEILING,
-    CalibrationTask,
     GaussianDist,
+    check_noise_var,
     check_sample_count,
-    likelihood_with_report,
+    factorize,
 )
 from .harness import (
     AGGREGATE_CSV_COLUMNS,
@@ -192,9 +193,11 @@ def cmd_fit(cfg: dict, out_dir: Path) -> int:
     X, Y = load_dataset(cfg["dataset"], cfg["dimension"])
     check_sample_count(len(Y), n_terms)  # before the index set, which can take seconds
     spec = BasisSpec.from_config(cfg)
-    task = CalibrationTask(spec, X, Y, cfg.get("noise_var"))
-    dist, report = likelihood_with_report(task, cfg.get("cond_ceiling", DEFAULT_COND_CEILING),
-                                          cfg.get("jitter", 0.0))
+    noise_var = cfg.get("noise_var")
+    check_noise_var(noise_var)  # exit 2, before an ill-conditioned design can exit 1
+    factors = factorize(spec, X, cfg.get("cond_ceiling", DEFAULT_COND_CEILING),
+                        cfg.get("jitter", 0.0))
+    dist, report = factors.fit(Y, noise_var)
     write_json(out_dir / "posterior.json", {"config": cfg, "basis": spec.to_config(),
                                             "posterior": dist.to_record(), "report": report})
     return 0
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # bad input, UsageError and DomainError among it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, NumericError, OSError) as exc:  # a run that failed
+    except (CalibrationError, NumericError, OSError, MemoryError) as exc:  # a run that failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

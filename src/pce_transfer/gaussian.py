@@ -7,9 +7,10 @@ noise_var * (A^T A)^{-1}).  Fusing Gaussians (the conjugate update) lives in
 solves go through QR or Cholesky factors, never explicit inverses of the
 design matrix.  The linear algebra is numpy's alone (`numpy.linalg`, one BLAS
 per process): every solve against a triangular factor goes through
-`_solve_factor`.  A fit splits into `factorize`, the design's share, and
+`_solve_factor`.  Every fit is `factorize`, the design's share, then
 `DesignFactors.fit`, the outputs' share, so one factorization serves every
-output vector observed at the same points.
+output vector observed at the same points; `likelihood` is the two in one
+call.
 """
 
 from __future__ import annotations
@@ -90,46 +91,10 @@ class GaussianDist:
         return cls(mean=mean, cov=cov)
 
 
-def _outputs(Y, n_samples: int, noise_var: float | None) -> np.ndarray:
-    """Y as a vector of n_samples finite floats, with noise_var checked.
-
-    A bad Y or a noise_var that is given but not positive and finite raises ValueError.
-    """
-    Y = np.asarray(Y, dtype=float).ravel()
-    if Y.shape[0] != n_samples:
-        raise ValueError("X and Y have different numbers of samples")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y must be finite; an output is NaN or infinite")
+def check_noise_var(noise_var):
+    """Reject, with ValueError, a noise_var that is given but not positive and finite."""
     if noise_var is not None and not (finite_real(noise_var) and noise_var > 0):
         raise ValueError(f"noise_var must be positive and finite when given, got {noise_var!r}")
-    return Y
-
-
-@dataclass(frozen=True)
-class CalibrationTask:
-    """A regression dataset with its basis and (optionally known) noise variance.
-
-    noise_var is the variance of the i.i.d. Gaussian observation noise.  When
-    None it is estimated from the residual mean square of the least-squares
-    fit, floored at NOISE_VAR_FLOOR.
-    """
-
-    basis: BasisSpec
-    X: np.ndarray
-    Y: np.ndarray
-    noise_var: float | None = None
-
-    def __post_init__(self):
-        X = as_points(self.X, self.basis.box.dimension)
-        Y = _outputs(self.Y, X.shape[0], self.noise_var)
-        X.flags.writeable = False
-        Y.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
-
-    @property
-    def n_samples(self) -> int:
-        return self.X.shape[0]
 
 
 def check_sample_count(n_samples: int, n_terms: int):
@@ -166,11 +131,16 @@ class DesignFactors:
 
         Mean solves the least-squares problem through Q and R; covariance is
         noise_var * unit_cov, with noise_var estimated from the residual mean
-        square (floored at NOISE_VAR_FLOOR) when None.  Y and noise_var are
-        checked as `CalibrationTask` checks them.
+        square (floored at NOISE_VAR_FLOOR) when None.  A Y of another length
+        or with a NaN or infinite output, or a bad noise_var, raises ValueError.
         """
         n_samples, p = self.A.shape
-        Y = _outputs(Y, n_samples, noise_var)
+        Y = np.asarray(Y, dtype=float).ravel()
+        if Y.shape[0] != n_samples:
+            raise ValueError("X and Y have different numbers of samples")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("Y must be finite; an output is NaN or infinite")
+        check_noise_var(noise_var)
         targets = Y if self.jitter == 0.0 else np.concatenate([Y, np.zeros(p)])
         mean = _solve_factor(self.R, self.Q.T @ targets)
         resid = Y - self.A @ mean
@@ -231,22 +201,10 @@ def factorize(basis: BasisSpec, X, cond_ceiling: float = DEFAULT_COND_CEILING,
     return DesignFactors(A, Q, R, Rinv @ Rinv.T, float(cond_normal), jitter)
 
 
-def likelihood_with_report(task: CalibrationTask,
-                           cond_ceiling: float = DEFAULT_COND_CEILING,
-                           jitter: float = 0.0) -> tuple[GaussianDist, dict]:
-    """Gaussian likelihood over coefficients plus fit diagnostics.
+def likelihood(basis: BasisSpec, X, Y, noise_var: float | None = None) -> GaussianDist:
+    """Gaussian likelihood over coefficients of outputs Y at points X.
 
-    `factorize` the task's design, then `DesignFactors.fit` its outputs: the
-    mean solves the least-squares problem via QR of the design matrix and the
-    covariance is noise_var * (A^T A)^{-1} assembled from the R factor.  The
-    report holds the sample and coefficient counts, the condition number of
-    A^T A (of the ridged system under jitter), the residual RMSE and the
-    noise variance used.
+    `factorize` with the default conditioning ceiling and no ridge, then
+    `DesignFactors.fit`; noise_var None estimates it from the residuals.
     """
-    factors = factorize(task.basis, task.X, cond_ceiling, jitter)
-    return factors.fit(task.Y, task.noise_var)
-
-
-def likelihood(task: CalibrationTask) -> GaussianDist:
-    """Gaussian likelihood over coefficients from a regression dataset."""
-    return likelihood_with_report(task)[0]
+    return factorize(basis, X).fit(Y, noise_var)[0]

@@ -40,7 +40,7 @@ import numpy as np
 
 from .basis import BasisSpec, DomainBox, n_pce
 from .errors import CalibrationError, NumericError, finite_real, integer
-from .gaussian import CalibrationTask, DesignFactors, GaussianDist, factorize, likelihood
+from .gaussian import DesignFactors, GaussianDist, factorize, likelihood
 from .models import GenerativeModel
 from .predict import Design, PfpPrediction, lpfp, pushforward, rmse
 from .transfer import OBJECTIVES, TransferProblem, optimize_beta, tempered_posterior
@@ -361,9 +361,14 @@ def mode_predictions(prob: TransferProblem, beta_star: float,
 
 def _shared_fits(cfg: ExperimentConfig, data: TrialData,
                  degree: int) -> tuple[BasisSpec, GaussianDist, DesignFactors]:
-    """A trial's basis, source likelihood and target design factors at one degree."""
+    """A trial's basis, source likelihood and target design factors at one degree.
+
+    Both fits are `factorize` then `DesignFactors.fit`: the source's as one
+    `likelihood` call, the target's stopped before `fit`, so that each shift
+    fits only its own outputs.
+    """
     spec = BasisSpec.total_order(cfg.reference_box(), degree)
-    source_lik = likelihood(CalibrationTask(spec, data.X_source, data.y_source, cfg.noise_var()))
+    source_lik = likelihood(spec, data.X_source, data.y_source, cfg.noise_var())
     return spec, source_lik, factorize(spec, data.X_target)
 
 

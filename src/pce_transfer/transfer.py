@@ -17,12 +17,12 @@ is better:
   DS   Dice similarity, a normalized product integral of the two densities.
 
 Each `TransferProblem` caches one `WhitenedFrame`, a single SVD that
-diagonalizes both precisions.  The beta scan, `objective_value`, the tempered
-posteriors and `fuse` (the frame at beta = 1) all read it, and
-`TransferProblem.with_target` keeps its SVD for a new target mean under the
-same covariances.  The optimizer scans a dense grid, DS as log-DS so that
-it cannot underflow, and refines with golden-section search;
-`objective_value` reproduces a scan point bit for bit.
+diagonalizes both precisions.  The beta scan, the tempered posteriors and
+`fuse` (the frame at beta = 1) all read it, and `TransferProblem.with_target`
+keeps its SVD for a new target mean under the same covariances.  The
+optimizer scans a dense grid, DS as log-DS so that it cannot underflow, and
+refines with golden-section search; `WhitenedFrame.value` reproduces a scan
+point bit for bit.
 The scan runs in blocks of fixed size in place, so the space it takes grows
 with the number of scan points, not with scan points times coefficients.
 """
@@ -235,28 +235,6 @@ def fuse(prior: GaussianDist, lik: GaussianDist) -> GaussianDist:
     return WhitenedFrame(prior, lik).posterior(1.0)
 
 
-def _lowest_beta(objective: str, beta_floor: float) -> float:
-    """Where the beta range starts: 0 for EDF, else beta_floor, which must lie in (0, 1)."""
-    if not (finite_real(beta_floor) and 0.0 < beta_floor < 1.0):
-        raise ValueError(f"beta_floor must lie in (0, 1), got {beta_floor!r}")
-    return 0.0 if objective == "EDF" else beta_floor
-
-
-def objective_value(prob: TransferProblem, beta: float,
-                    beta_floor: float = DEFAULT_BETA_FLOOR) -> float:
-    """Value of the problem's objective at one beta; larger is always better.
-
-    Runs the solver that `optimize_beta` scans, so it reproduces the scan
-    curve exactly at the scan's own beta values; DS comes back on its linear
-    scale, the exponential of the scan's log-DS.
-    """
-    lo = _lowest_beta(prob.objective, beta_floor)
-    if not lo <= beta <= 1.0:
-        raise DomainError(f"{prob.objective} needs beta in [{lo:g}, 1], got {beta}")
-    value = prob.frame.value(prob.objective, beta)
-    return math.exp(value) if prob.objective == "DS" else value
-
-
 def _golden_section_max(f, a: float, b: float, tol: float) -> float:
     """Deterministic golden-section maximization; ties drift toward larger x."""
     if b - a <= tol:
@@ -288,9 +266,12 @@ def optimize_beta(prob: TransferProblem,
     refinement inside the bracketing interval of the best scan point then
     resolves beta to DEFAULT_REFINE_TOL.  Ties break toward larger beta (prefer
     using the source when the objective is flat).  A scan_points below 2, or
-    a beta_floor outside (0, 1), raises ValueError.
+    a beta_floor outside (0, 1), raises ValueError; the scan starts at
+    beta_floor, or at 0 under EDF.
     """
-    lo = _lowest_beta(prob.objective, beta_floor)
+    if not (finite_real(beta_floor) and 0.0 < beta_floor < 1.0):
+        raise ValueError(f"beta_floor must lie in (0, 1), got {beta_floor!r}")
+    lo = 0.0 if prob.objective == "EDF" else beta_floor
     grid = np.linspace(lo, 1.0, integer("scan_points", scan_points, low=2))
     frame = prob.frame
     values = frame.values(prob.objective, grid)

@@ -18,7 +18,7 @@ from pce_transfer.basis import (
     vandermonde,
 )
 from pce_transfer.errors import DomainError
-from pce_transfer.gaussian import CalibrationTask
+from pce_transfer.gaussian import factorize, likelihood
 from pce_transfer.models import cubic_model, ishigami_model
 from pce_transfer.predict import Design
 
@@ -225,7 +225,7 @@ class TestPointSetRule:
         assert expected.shape == (3, 3)
         np.testing.assert_array_equal(vandermonde(spec, flat), expected)
         np.testing.assert_array_equal(Design(spec, flat).matrix, expected)
-        np.testing.assert_array_equal(CalibrationTask(spec, flat, np.zeros(3)).X, column)
+        np.testing.assert_array_equal(factorize(spec, flat).A, expected)
         np.testing.assert_array_equal(cubic_model().evaluate(flat),
                                       cubic_model().evaluate(column))
 
@@ -236,7 +236,7 @@ class TestPointSetRule:
         spec = BasisSpec(box, 1)
         sites = [lambda: as_points(X, 2), lambda: to_reference(box, X),
                  lambda: vandermonde(spec, X), lambda: Design(spec, X),
-                 lambda: CalibrationTask(spec, X, np.zeros(3)),
+                 lambda: likelihood(spec, X, np.zeros(3)),
                  lambda: ishigami_model().evaluate(X)]
         for site in sites:
             with pytest.raises(ValueError, match="expected 2-dimensional points"):
@@ -250,7 +250,7 @@ class TestPointSetRule:
         X = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
         sites = [lambda: as_points(X, 2), lambda: to_reference(box, X),
                  lambda: vandermonde(spec, X), lambda: Design(spec, X),
-                 lambda: CalibrationTask(spec, X, np.zeros(3)),
+                 lambda: likelihood(spec, X, np.zeros(3)),
                  lambda: ishigami_model().evaluate(X)]
         for site in sites:
             with pytest.raises(ValueError, match="finite"):

@@ -201,6 +201,23 @@ class TestFit:
         big, real = fits
         assert (big["posterior"], big["report"]) == (real["posterior"], real["report"])
 
+    def test_bad_noise_var_exits_2_before_an_ill_conditioned_design_exits_1(self, tmp_path,
+                                                                          capsys):
+        # Ten points at 0.5, one moved by 1e-9, cannot pass degree 3's
+        # conditioning check; a malformed noise_var is still bad input first.
+        X = np.full(10, 0.5)
+        X[-1] += 1e-9
+        data = tmp_path / "data.csv"
+        write_dataset(data, X, np.zeros(10))
+        out = tmp_path / "out"
+        args = ["fit", "--out", str(out), "--set", f"dataset={data}", "--set", "dimension=1",
+                "--set", "degree=3", "--set", "lower=[0.0]", "--set", "upper=[1.0]"]
+        assert run_cli(*args) == 1
+        assert "condition number" in capsys.readouterr().err
+        assert run_cli(*args, "--set", 'noise_var="x"') == 2
+        assert "noise_var must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_point_outside_the_bounds_exits_2_without_output(self, cubic_dataset, tmp_path,
                                                              capsys):
         # The dataset spans [-0.2, 0.3]; a malformed dataset is a usage error.
@@ -316,6 +333,21 @@ class TestTransfer:
                        "--set", f"source={bad}", "--set", f"target={art}",
                        "--set", "objective=EDF")
         assert code == 2
+        assert not out.exists()
+
+    def test_scan_past_the_address_space_exits_1_without_output(self, cubic_dataset, tmp_path,
+                                                                capsys):
+        # 10**17 doubles exceed any address space, so the allocation fails at
+        # once whatever the overcommit setting.
+        art = self.make_artifact(cubic_dataset, tmp_path / "fit")
+        capsys.readouterr()
+        out = tmp_path / "tr"
+        code = run_cli("transfer", "--out", str(out),
+                       "--set", f"source={art}", "--set", f"target={art}",
+                       "--set", "objective=EDF", "--set", f"scan_points={10**17}")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_objective_exits_2(self, cubic_dataset, tmp_path):
@@ -522,6 +554,28 @@ class TestRepro:
         result = run_python("-c", code, env=env)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == expected
+
+    def test_validation_set_past_the_address_space_exits_1_without_output(self, tmp_path,
+                                                                          capsys):
+        # As for the transfer scan: 10**17 validation points fail to allocate at once.
+        out = tmp_path / "run"
+        assert run_cli("repro-ishigami", "--out", str(out), "--set", "n_trials=1",
+                       "--set", f"n_val={10**17}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_the_tracer_still_finds_every_name_it_wraps(self):
+        # perfbench/tracer.py patches package attributes by name, so a deleted
+        # or renamed one fails its install with AttributeError.
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        code = ("import os, sys\n"
+                "from pathlib import Path\n"
+                f"sys.path.insert(0, {str(perfbench)!r})\n"
+                "from tracer import Tracer, install\n"
+                "install(Tracer(Path(os.devnull)))\n")
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("extra,code", [
         ((), 0),

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from pce_transfer.basis import BasisSpec, DomainBox
 from pce_transfer.errors import CalibrationError, NumericError
 from oracles import exact_ridge_mean, log_pdf
-from pce_transfer.gaussian import (
-    CalibrationTask,
-    GaussianDist,
-    factorize,
-    likelihood,
-    likelihood_with_report,
-)
+from pce_transfer.gaussian import GaussianDist, factorize, likelihood
 from pce_transfer.transfer import fuse
 
 
@@ -90,20 +84,18 @@ class TestLikelihood:
     def test_non_finite_point_raises_value_error_not_linalg_error(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
         with pytest.raises(ValueError, match="finite") as exc:
-            likelihood(CalibrationTask(spec, np.array([0.2, np.nan, 0.8]), np.zeros(3)))
+            likelihood(spec, np.array([0.2, np.nan, 0.8]), np.zeros(3))
         assert not isinstance(exc.value, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_output_rejected_when_the_task_is_built(self, bad):
+    def test_non_finite_output_rejected(self, bad):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
         with pytest.raises(ValueError, match="finite"):
-            CalibrationTask(spec, np.array([0.2, 0.5, 0.8]), [1.0, bad, 2.0], noise_var=0.01)
+            likelihood(spec, np.array([0.2, 0.5, 0.8]), [1.0, bad, 2.0], noise_var=0.01)
 
     def test_constant_only_fit_is_sample_mean(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 0)
-        task = CalibrationTask(spec, np.array([[0.2], [0.8]]), np.array([1.0, 3.0]),
-                               noise_var=0.09)
-        lik = likelihood(task)
+        lik = likelihood(spec, np.array([[0.2], [0.8]]), np.array([1.0, 3.0]), noise_var=0.09)
         assert lik.mean[0] == pytest.approx(2.0, rel=1e-14)
         assert lik.cov[0, 0] == pytest.approx(0.09 / 2.0, rel=1e-12)
 
@@ -115,7 +107,7 @@ class TestLikelihood:
 
         X = rng.uniform(-0.2, 0.3, size=(16, 1))
         Y = vandermonde(spec, X) @ theta_true
-        lik = likelihood(CalibrationTask(spec, X, Y, noise_var=1e-12))
+        lik = likelihood(spec, X, Y, noise_var=1e-12)
         np.testing.assert_allclose(lik.mean, theta_true, atol=1e-8)
 
     def test_cubic_fit_matches_svd_solve(self):
@@ -127,9 +119,7 @@ class TestLikelihood:
         spec = BasisSpec.total_order(DomainBox(np.array([-0.2]), np.array([0.3])), 3)
         X = rng.uniform(-0.2, 0.3, size=(16, 1))
         Y = cubic_truth(X[:, 0]) + 0.01 * rng.standard_normal(16)
-        lik, report = likelihood_with_report(
-            CalibrationTask(spec, X, Y, noise_var=0.01**2)
-        )
+        lik, report = factorize(spec, X).fit(Y, noise_var=0.01**2)
         A = vandermonde(spec, X)
         oracle_mean = np.linalg.lstsq(A, Y, rcond=None)[0]
         np.testing.assert_allclose(lik.mean, oracle_mean, atol=1e-10)
@@ -137,16 +127,14 @@ class TestLikelihood:
 
     def test_under_determined_raises(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 3)
-        task = CalibrationTask(spec, np.array([[0.1], [0.5]]), np.array([0.0, 1.0]))
         with pytest.raises(CalibrationError, match="under-determined"):
-            likelihood(task)
+            likelihood(spec, np.array([[0.1], [0.5]]), np.array([0.0, 1.0]))
 
     def test_ill_conditioned_raises_with_condition_number(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 3)
         X = np.array([[0.5], [0.5], [0.5], [0.500000001], [0.5000000005]])
-        task = CalibrationTask(spec, X, np.zeros(5), noise_var=1.0)
         with pytest.raises(CalibrationError, match="condition number"):
-            likelihood(task)
+            likelihood(spec, X, np.zeros(5), noise_var=1.0)
 
     @pytest.mark.parametrize("settings", [
         {"jitter": -1.0}, {"jitter": float("nan")},
@@ -158,22 +146,20 @@ class TestLikelihood:
         # condition-number ceiling and the ridge, fitting this design unguarded.
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 3)
         X = np.array([[0.5], [0.5], [0.5], [0.500000001], [0.5000000005]])
-        task = CalibrationTask(spec, X, np.zeros(5), noise_var=1.0)
         with pytest.raises(ValueError, match="cond_ceiling must be positive and jitter"):
-            likelihood_with_report(task, **settings)
+            factorize(spec, X, **settings).fit(np.zeros(5), noise_var=1.0)
 
     @pytest.mark.parametrize("noise_var", ["x", [1.0], True, 0.0, -1.0, float("nan"),
                                            float("inf")])
     def test_malformed_noise_var_rejected(self, noise_var):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
         with pytest.raises(ValueError, match="noise_var must be positive"):
-            CalibrationTask(spec, np.array([[0.1], [0.5]]), np.zeros(2), noise_var=noise_var)
+            likelihood(spec, np.array([[0.1], [0.5]]), np.zeros(2), noise_var=noise_var)
 
     def test_jitter_opt_in_allows_degenerate_fit(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 3)
         X = np.array([[0.5], [0.5], [0.5], [0.500000001], [0.5000000005]])
-        task = CalibrationTask(spec, X, np.zeros(5), noise_var=1.0)
-        lik = likelihood_with_report(task, jitter=1e-6)[0]
+        lik = factorize(spec, X, jitter=1e-6).fit(np.zeros(5), noise_var=1.0)[0]
         assert np.all(np.isfinite(lik.cov))
 
     def test_jitter_fit_is_the_ridge_solution(self):
@@ -183,8 +169,7 @@ class TestLikelihood:
         spec = BasisSpec.total_order(DomainBox(np.zeros(2), np.ones(2)), 3)
         X = rng.uniform(0, 1, size=(30, 2))
         Y = rng.normal(size=30)
-        lik, report = likelihood_with_report(CalibrationTask(spec, X, Y, noise_var=0.5),
-                                             jitter=0.1)
+        lik, report = factorize(spec, X, jitter=0.1).fit(Y, noise_var=0.5)
         A = vandermonde(spec, X)
         gram = A.T @ A + 0.1 * np.eye(spec.n_terms)
         np.testing.assert_allclose(lik.mean, np.linalg.solve(gram, A.T @ Y), rtol=1e-10)
@@ -203,8 +188,7 @@ class TestLikelihood:
         spec = BasisSpec.total_order(DomainBox(np.zeros(1), np.ones(1)), 7)
         X = rng.uniform(0.5, 0.52, size=(12, 1))
         Y = np.sin(3.0 * X[:, 0])
-        lik, _ = likelihood_with_report(CalibrationTask(spec, X, Y, noise_var=1.0),
-                                        jitter=jitter)
+        lik, _ = factorize(spec, X, jitter=jitter).fit(Y, noise_var=1.0)
         exact = exact_ridge_mean(vandermonde(spec, X), Y, jitter)
         assert np.linalg.norm(lik.mean - exact) <= 1e-9 * np.linalg.norm(exact)
 
@@ -219,8 +203,7 @@ class TestLikelihood:
         spec = BasisSpec.total_order(box, 3)
         assert spec.n_terms == 56
         X = rng.uniform(box.lower, box.upper, size=(n_samples, 5))
-        task = CalibrationTask(spec, X, rng.normal(size=n_samples), noise_var=1.0)
-        _, report = likelihood_with_report(task)
+        _, report = factorize(spec, X).fit(rng.normal(size=n_samples), noise_var=1.0)
         s = np.linalg.svd(vandermonde(spec, X), compute_uv=False)
         assert report["condition_number"] == pytest.approx((s[0] / s[-1]) ** 2, rel=1e-8)
 
@@ -236,7 +219,7 @@ class TestLikelihood:
         assert spec.n_terms == 56
         X = 0.5 + 0.013 * rng.uniform(-1.0, 1.0, size=(200, 5))
         Y = rng.normal(size=200)
-        dist, report = likelihood_with_report(CalibrationTask(spec, X, Y, noise_var=0.01))
+        dist, report = factorize(spec, X).fit(Y, noise_var=0.01)
         assert 1e11 < report["condition_number"] < 1e12
         A = vandermonde(spec, X)
         mean = np.linalg.lstsq(A, Y, rcond=None)[0]
@@ -246,8 +229,7 @@ class TestLikelihood:
 
     def test_noise_var_estimated_when_absent(self):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 0)
-        task = CalibrationTask(spec, np.array([[0.2], [0.8]]), np.array([1.0, 3.0]))
-        _, report = likelihood_with_report(task)
+        _, report = factorize(spec, np.array([[0.2], [0.8]])).fit(np.array([1.0, 3.0]))
         # Residuals are (-1, +1) around the sample mean; mean square = 1.
         assert report["noise_var"] == pytest.approx(1.0, rel=1e-12)
 
@@ -256,11 +238,8 @@ class TestLikelihood:
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 2)
         X = rng.uniform(0, 1, size=(10, 1))
         Y = rng.normal(size=10)
-        base = likelihood(CalibrationTask(spec, X, Y, noise_var=0.25))
-        doubled = likelihood(
-            CalibrationTask(spec, np.vstack([X, X]), np.concatenate([Y, Y]),
-                            noise_var=0.25)
-        )
+        base = likelihood(spec, X, Y, noise_var=0.25)
+        doubled = likelihood(spec, np.vstack([X, X]), np.concatenate([Y, Y]), noise_var=0.25)
         np.testing.assert_allclose(doubled.mean, base.mean, atol=1e-12)
         np.testing.assert_allclose(doubled.cov, base.cov / 2.0, rtol=1e-10)
 
@@ -275,7 +254,7 @@ class TestLikelihood:
         def mean_abs_offdiag(n):
             X = rng.uniform(0, 1, size=(n, 5))
             Y = rng.normal(size=n)
-            corr = correlation_matrix(likelihood(CalibrationTask(spec, X, Y, noise_var=1.0)))
+            corr = correlation_matrix(likelihood(spec, X, Y, noise_var=1.0))
             off = np.abs(corr - np.diag(np.diag(corr)))
             p = corr.shape[0]
             return off.sum() / (p * (p - 1))
@@ -286,10 +265,10 @@ class TestLikelihood:
 
 
 class TestDesignFactors:
-    """`factorize` once, then `DesignFactors.fit` per output vector, is `likelihood_with_report`."""
+    """`factorize` once, then `DesignFactors.fit` per output vector, is a fresh fit of each."""
 
     @pytest.mark.parametrize("noise_var, jitter", [(0.01, 0.0), (None, 0.0), (0.01, 1e-6)])
-    def test_one_factorization_fits_each_output_like_its_own_task(self, noise_var, jitter):
+    def test_one_factorization_fits_each_output_like_a_fresh_one(self, noise_var, jitter):
         rng = np.random.default_rng(31)
         spec = BasisSpec.total_order(DomainBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0])), 3)
         X = rng.uniform(-1.0, 1.0, size=(11, 2))
@@ -297,24 +276,21 @@ class TestDesignFactors:
         for _ in range(3):
             Y = np.sin(X[:, 0] - rng.uniform()) + 0.01 * rng.standard_normal(11)
             dist, report = factors.fit(Y, noise_var)
-            task_dist, task_report = likelihood_with_report(
-                CalibrationTask(spec, X, Y, noise_var), jitter=jitter)
-            assert dist.mean.tobytes() == task_dist.mean.tobytes()
-            assert dist.cov.tobytes() == task_dist.cov.tobytes()
-            assert report == task_report
+            fresh_dist, fresh_report = factorize(spec, X, jitter=jitter).fit(Y, noise_var)
+            assert dist.mean.tobytes() == fresh_dist.mean.tobytes()
+            assert dist.cov.tobytes() == fresh_dist.cov.tobytes()
+            assert report == fresh_report
 
     @pytest.mark.parametrize("Y, noise_var, match", [
         (np.zeros(4), None, "different numbers of samples"),
         (np.array([0.0, np.nan, 0.0, 0.0, 0.0]), None, "Y must be finite"),
         (np.zeros(5), 0.0, "noise_var must be positive"),
     ])
-    def test_fit_checks_its_outputs_as_a_task_does(self, Y, noise_var, match):
+    def test_fit_checks_its_outputs(self, Y, noise_var, match):
         spec = BasisSpec.total_order(DomainBox(np.array([0.0]), np.array([1.0])), 1)
         factors = factorize(spec, np.linspace(0.0, 1.0, 5))
         with pytest.raises(ValueError, match=match):
             factors.fit(Y, noise_var)
-        with pytest.raises(ValueError, match=match):
-            CalibrationTask(spec, np.linspace(0.0, 1.0, 5), Y, noise_var)
 
 
 class TestFuse:

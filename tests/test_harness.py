@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pce_transfer.basis import BasisSpec, DomainBox
 from pce_transfer.errors import CalibrationError, DomainError, NumericError
-from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
+from pce_transfer.gaussian import GaussianDist, likelihood
 from pce_transfer.harness import (
     AGGREGATE_CSV_COLUMNS,
     BAND_GRID_POINTS,
@@ -62,7 +62,7 @@ def record_bits(records):
 
 
 # The reference trial pipeline: every draw and fit from scratch, at one shift
-# alone, each task fitted by `likelihood(CalibrationTask(...))`.
+# alone, each task fitted by its own `likelihood(spec, X, Y, noise_var)` call.
 
 def reference_data(cfg, trial):
     """One trial's datasets from its draws and cfg's target model."""
@@ -79,8 +79,8 @@ def reference_problem(cfg, data, degree):
     """The transfer problem of one trial at one degree, and its validation design."""
     spec = BasisSpec.total_order(cfg.reference_box(), degree)
     nv = cfg.noise_var()
-    src = likelihood(CalibrationTask(spec, data.X_source, data.y_source, nv))
-    tgt = likelihood(CalibrationTask(spec, data.X_target, data.y_target, nv))
+    src = likelihood(spec, data.X_source, data.y_source, nv)
+    tgt = likelihood(spec, data.X_target, data.y_target, nv)
     return TransferProblem(src, tgt, cfg.objective), Design(spec, data.X_val)
 
 
@@ -339,7 +339,7 @@ class TestRunTrial:
 
     def test_overflowing_injected_noise_fails_its_trial(self):
         # Noise of sd 1e308 overflows training outputs to infinity.  The trial
-        # records that failure; CalibrationTask's ValueError must not escape it.
+        # records that failure; the fit's ValueError must not escape it.
         cfg = small_cubic_cfg(noise_sd=1e308, degrees=(1, 3))
         with np.errstate(over="ignore"):
             records = run_trial(cfg, 0)

@@ -8,7 +8,7 @@ import pytest
 from oracles import correlation_matrix, temper
 from pce_transfer.basis import BasisSpec, DomainBox, vandermonde
 from pce_transfer.errors import DomainError
-from pce_transfer.gaussian import CalibrationTask, GaussianDist, likelihood
+from pce_transfer.gaussian import GaussianDist, likelihood
 from pce_transfer.models import cubic_truth
 from pce_transfer.predict import (
     Design,
@@ -185,7 +185,7 @@ class TestRmse:
         spec = BasisSpec.total_order(box, 3)
         X = rng.uniform(-0.2, 0.3, size=(16, 1))
         Y = cubic_truth(X[:, 0])
-        lik = likelihood(CalibrationTask(spec, X, Y, noise_var=1e-12))
+        lik = likelihood(spec, X, Y, noise_var=1e-12)
         val = rng.uniform(-0.2, 0.3, size=(50, 1))
         assert rmse(pushforward(lik, Design(spec, val)), cubic_truth(val[:, 0])) <= 1e-8
 

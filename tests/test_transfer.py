@@ -37,7 +37,6 @@ from pce_transfer.transfer import (
     TransferProblem,
     WhitenedFrame,
     fuse,
-    objective_value,
     optimize_beta,
     tempered_posterior,
 )
@@ -239,14 +238,14 @@ class TestObjectiveValues:
         prob = TransferProblem(d, d, "EDF")
         for beta in [0.0, 0.2, 0.7, 1.0]:
             expected = -0.5 * (k / (1.0 + beta) + k * np.log(2.0 * np.pi))
-            assert objective_value(prob, beta) == pytest.approx(expected, rel=1e-12)
+            assert prob.frame.value("EDF", beta) == pytest.approx(expected, rel=1e-12)
 
     def test_me_frozen_value(self):
         # log N(1; 0, 2) = -0.25 - 0.5 log(4 pi), confirmed by quadrature below.
         src = GaussianDist(np.array([0.0]), np.array([[1.0]]))
         tgt = GaussianDist(np.array([1.0]), np.array([[1.0]]))
         prob = TransferProblem(src, tgt, "ME")
-        value = objective_value(prob, 1.0)
+        value = prob.frame.value("ME", 1.0)
         assert value == pytest.approx(-1.5155121234846454, rel=1e-12)
         oracle = quad_product_integral(temper(src, 1.0), tgt)
         assert np.exp(value) == pytest.approx(oracle, rel=1e-8)
@@ -255,25 +254,14 @@ class TestObjectiveValues:
         rng = np.random.default_rng(6)
         d = GaussianDist(rng.normal(size=2), rand_spd(rng, 2))
         prob = TransferProblem(d, d, "DS")
-        assert objective_value(prob, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_beta_domain_errors(self):
-        rng = np.random.default_rng(7)
-        for objective in ("KLD", "ME", "DS"):
-            prob = rand_problem(rng, 2, objective)
-            with pytest.raises(DomainError):
-                objective_value(prob, 0.0)
-            with pytest.raises(DomainError):
-                objective_value(prob, 1.0 + 1e-9)
-        prob = rand_problem(rng, 2, "EDF")
-        assert np.isfinite(objective_value(prob, 0.0))
+        assert math.exp(prob.frame.value("DS", 1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_me_equals_product_integral(self):
         rng = np.random.default_rng(8)
         prob = rand_problem(rng, 3, "ME")
         for beta in (0.2, 0.6, 1.0):
             identity = log_product_integral(temper(prob.source, beta), prob.target)
-            assert objective_value(prob, beta) == pytest.approx(identity, rel=1e-12)
+            assert prob.frame.value("ME", beta) == pytest.approx(identity, rel=1e-12)
 
     @pytest.mark.parametrize("objective", ["EDF", "KLD", "ME", "DS"])
     def test_whitened_scan_matches_direct_forms(self, objective):
@@ -285,7 +273,10 @@ class TestObjectiveValues:
                 betas.append(0.0)
             for beta in betas:
                 direct = direct_objective(prob, beta)
-                assert objective_value(prob, beta) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+                value = prob.frame.value(objective, beta)
+                if objective == "DS":  # evaluated as log-DS
+                    value = math.exp(value)
+                assert value == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("objective", ["EDF", "KLD", "ME", "DS"])
     def test_single_values_reproduce_the_scan_curve(self, objective):
@@ -296,10 +287,8 @@ class TestObjectiveValues:
             for scan_points in (DEFAULT_SCAN_POINTS, 20_001):
                 res = optimize_beta(prob, scan_points=scan_points)
                 for i in np.linspace(0, len(res.betas) - 1, 6).astype(int):
-                    scanned = res.values[i]
-                    if objective == "DS":  # scanned as log-DS
-                        scanned = math.exp(scanned)
-                    assert objective_value(prob, res.betas[i]) == scanned, (k, scan_points, i)
+                    value = prob.frame.value(objective, res.betas[i])
+                    assert value == res.values[i], (k, scan_points, i)
 
 
 class TestScanKernel:
@@ -340,14 +329,14 @@ class TestObjectiveOracles:
         prob = rand_problem(rng, 2, "EDF")
         for beta in (0.3, 1.0):
             mc = mc_edf(prob, beta, seed=int(beta * 100))
-            assert objective_value(prob, beta) == pytest.approx(mc, rel=0.01)
+            assert prob.frame.value("EDF", beta) == pytest.approx(mc, rel=0.01)
 
     def test_kld_against_monte_carlo(self):
         rng = np.random.default_rng(11)
         prob = rand_problem(rng, 2, "KLD")
         for beta in (0.4, 0.9):
             mc = mc_kld(prob, beta, seed=int(beta * 100))
-            assert -objective_value(prob, beta) == pytest.approx(mc, rel=0.01)
+            assert -prob.frame.value("KLD", beta) == pytest.approx(mc, rel=0.01)
 
     def test_me_against_quadrature(self):
         rng = np.random.default_rng(12)
@@ -355,7 +344,7 @@ class TestObjectiveOracles:
             prob = rand_problem(rng, k, "ME")
             for beta in (0.25, 1.0):
                 oracle = quad_product_integral(temper(prob.source, beta), prob.target)
-                assert np.exp(objective_value(prob, beta)) == pytest.approx(oracle, rel=0.005)
+                assert np.exp(prob.frame.value("ME", beta)) == pytest.approx(oracle, rel=0.005)
 
     def test_ds_against_quadrature(self):
         rng = np.random.default_rng(13)
@@ -367,7 +356,8 @@ class TestObjectiveOracles:
                 ss = quad_product_integral(tempered, tempered)
                 tt = quad_product_integral(prob.target, prob.target)
                 oracle = 2.0 * st_ / (ss + tt)
-                assert objective_value(prob, beta) == pytest.approx(oracle, rel=0.005)
+                value = np.exp(prob.frame.value("DS", beta))  # the scan ranks DS as log-DS
+                assert value == pytest.approx(oracle, rel=0.005)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +420,7 @@ class TestOptimizeBeta:
         for objective in ("EDF", "KLD", "ME", "DS"):
             prob = rand_problem(rng, 2, objective)
             res = optimize_beta(prob)
-            best = objective_value(prob, res.beta_star)
-            if objective == "DS":  # scanned as log-DS
-                best = math.log(best)
+            best = prob.frame.value(objective, res.beta_star)  # log-DS for DS, as scanned
             assert best >= res.values.max() - 1e-9
 
     def test_record_serialization(self):
@@ -463,7 +451,7 @@ class TestTransferProblemValidation:
 
 
 class TestScanSettings:
-    """optimize_beta and objective_value check their own scan settings."""
+    """optimize_beta checks its own scan settings."""
 
     D = GaussianDist(np.zeros(1), np.eye(1))
 
@@ -479,8 +467,6 @@ class TestScanSettings:
         prob = TransferProblem(self.D, self.D, objective)
         with pytest.raises(ValueError, match="beta_floor"):
             optimize_beta(prob, beta_floor=beta_floor)
-        with pytest.raises(ValueError, match="beta_floor"):
-            objective_value(prob, 0.5, beta_floor=beta_floor)
 
     def test_floor_starts_the_scan_except_under_edf(self):
         for objective in OBJECTIVES:
